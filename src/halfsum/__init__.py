@@ -15,7 +15,6 @@ from .arith import (
     is_prime,
     legendre_euler,
     legendre_reciprocity,
-    mod_pow,
 )
 from .charsum import (
     HalfSumRecord,
@@ -49,14 +48,13 @@ from .construction import (
 )
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .floorlemma import floor_half_series, truncation_index
-from .primes import PrimeStream, iter_primes, primes_in_range
+from .primes import iter_primes, primes_in_range
 
 __all__ = [
     "OddPrime",
     "is_prime",
     "legendre_euler",
     "legendre_reciprocity",
-    "mod_pow",
     "HalfSumRecord",
     "full_sum",
     "half_sum",
@@ -86,7 +84,6 @@ __all__ = [
     "ResourceLimitError",
     "floor_half_series",
     "truncation_index",
-    "PrimeStream",
     "iter_primes",
     "primes_in_range",
     "__version__",

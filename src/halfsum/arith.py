@@ -16,15 +16,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _VALUE_LIMIT = 1 << 64
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Return base**exponent mod modulus using square-and-multiply."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise DomainError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 64-bit-range naturals."""
     if n < 2:

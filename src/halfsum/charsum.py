@@ -9,6 +9,7 @@ exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +44,16 @@ class HalfSumRecord:
             raise ConsistencyError("a_value does not match the counts")
 
 
+def _squares_mod(pv: int) -> Iterator[np.ndarray]:
+    """x^2 mod p for x = 1 .. (p-1)/2, as int64 blocks of at most _BLOCK."""
+    half = (pv - 1) // 2
+    for start in range(1, half + 1, _BLOCK):
+        x = np.arange(start, min(start + _BLOCK, half + 1), dtype=np.int64)
+        np.multiply(x, x, out=x)
+        np.mod(x, pv, out=x)
+        yield x
+
+
 def half_sum_direct(p: int | OddPrime) -> HalfSumRecord:
     """A(p) by summing Legendre symbols for a = 1 .. (p-1)/2; O(p log p)."""
     pv = as_prime(p).value
@@ -67,12 +78,7 @@ def half_sum_sieve(p: int | OddPrime) -> HalfSumRecord:
             "squares would overflow the vectorised 64-bit path"
         )
     half = (pv - 1) // 2
-    qr = 0
-    for start in range(1, half + 1, _BLOCK):
-        x = np.arange(start, min(start + _BLOCK - 1, half) + 1, dtype=np.int64)
-        np.multiply(x, x, out=x)
-        np.mod(x, pv, out=x)
-        qr += int(np.count_nonzero(x <= half))
+    qr = sum(int(np.count_nonzero(x <= half)) for x in _squares_mod(pv))
     return HalfSumRecord(pv, qr, half - qr, 2 * qr - half, "sieve")
 
 
@@ -104,11 +110,7 @@ def full_sum(p: int | OddPrime) -> int:
 def _qr_marks(pv: int) -> np.ndarray:
     """uint8 array of length p with 1 at every quadratic residue."""
     marks = np.zeros(pv, dtype=np.uint8)
-    half = (pv - 1) // 2
-    for start in range(1, half + 1, _BLOCK):
-        x = np.arange(start, min(start + _BLOCK - 1, half) + 1, dtype=np.int64)
-        np.multiply(x, x, out=x)
-        np.mod(x, pv, out=x)
+    for x in _squares_mod(pv):
         marks[x] = 1
     return marks
 
@@ -136,11 +138,4 @@ def qr_value_sum(p: int | OddPrime) -> int:
     pv = as_prime(p).value
     if pv >= _SIEVE_LIMIT:
         raise ResourceLimitError(f"p = {pv} exceeds the sieve limit {_SIEVE_LIMIT}")
-    half = (pv - 1) // 2
-    total = 0
-    for start in range(1, half + 1, _BLOCK):
-        x = np.arange(start, min(start + _BLOCK - 1, half) + 1, dtype=np.int64)
-        np.multiply(x, x, out=x)
-        np.mod(x, pv, out=x)
-        total += int(x.sum())
-    return total
+    return sum(int(x.sum()) for x in _squares_mod(pv))

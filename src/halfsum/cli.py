@@ -11,7 +11,7 @@ Subcommands:
   lemma      exact floor-series identity check
 
 Exit codes: 0 all checks passed, 1 a mathematical claim failed
-verification, 2 usage or input error.
+verification, 2 usage, input or I/O error.
 
 Output is deterministic: identical invocations produce byte-identical
 JSON/CSV regardless of --jobs, so wall-clock timing goes to stderr only.
@@ -26,13 +26,14 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple, Optional, TextIO
+from typing import Iterator, NamedTuple, Optional, TextIO
 
 from . import __version__
-from .arith import as_prime, legendre_euler, legendre_reciprocity
+from .arith import OddPrime, legendre_euler, legendre_reciprocity
 from .charsum import half_sum, half_sum_sieve
 from .classnum import (
     class_number_character_sum,
@@ -89,18 +90,20 @@ def _check_prime(p: int, fast_bound: Optional[int]):
 
     Returns (row, violations, anomaly) where anomaly is None or a
     (p, ledger excerpt) pair. Above fast_bound the construction audit is
-    skipped and the row verdict is SieveOnly.
+    skipped and the row verdict is SieveOnly. The prime is validated once
+    here and passed on validated.
     """
-    rec = half_sum_sieve(p)
+    op = OddPrime(p)
+    rec = half_sum_sieve(op)
     violations: list[tuple[int, str, str]] = []
     if rec.a_value <= 0:
         violations.append((p, "TheoremViolation", f"A({p}) = {rec.a_value} <= 0"))
 
     if fast_bound is not None and p > fast_bound:
-        row = RangeRow(p, classify_case(p), rec.a_value, 0, 0, "SieveOnly")
+        row = RangeRow(p, classify_case(op), rec.a_value, 0, 0, "SieveOnly")
         return row, violations, None
 
-    report = build_report(p)
+    report = build_report(op)
     if report.verdict == BOUND_VIOLATION:
         violations.append((p, BOUND_VIOLATION, _violation_detail(report)))
     anomaly = None
@@ -239,6 +242,16 @@ def _write_summary(s: RangeSummary, fmt: str, out: TextIO, strict: bool) -> None
         out.write(f"  ... and {len(s.dedup_anomalies) - 20} more\n")
 
 
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The --out file opened for writing, or stdout when no path is given."""
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w") as out:
+        yield out
+
+
 def cmd_symbol(args) -> int:
     value = legendre_euler(args.a, args.p)
     check = legendre_reciprocity(args.a, args.p)
@@ -299,16 +312,12 @@ def _render_construct_text(report, out: TextIO) -> None:
 
 def cmd_construct(args) -> int:
     report = build_report(args.p)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         if args.json:
             json.dump(report.to_json_dict(), out, indent=2)
             out.write("\n")
         else:
             _render_construct_text(report, out)
-    finally:
-        if args.out:
-            out.close()
     return 0 if report.verdict == VERIFIED else 1
 
 
@@ -319,17 +328,13 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    summary = _run_sweep(args.lo, args.hi, args.jobs, args.fast)
-    if args.strict:
-        summary.violations.extend(
-            (p, DEDUP_ANOMALY, excerpt) for p, excerpt in summary.dedup_anomalies
-        )
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
+        summary = _run_sweep(args.lo, args.hi, args.jobs, args.fast)
+        if args.strict:
+            summary.violations.extend(
+                (p, DEDUP_ANOMALY, excerpt) for p, excerpt in summary.dedup_anomalies
+            )
         _write_summary(summary, args.format, out, args.strict)
-    finally:
-        if args.out:
-            out.close()
     print(f"wall time: {summary.wall_time_seconds:.2f}s", file=sys.stderr)
     return 1 if summary.violations else 0
 
@@ -392,6 +397,10 @@ def cmd_identity(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    for flag, value in (("--check-up-to", args.check_up_to), ("--rationals", args.rationals)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
+            return 2
     failures = 0
     for x in range(0, args.check_up_to + 1):
         if floor_half_series(x) != x:
@@ -508,7 +517,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ResourceLimitError) as exc:
+    except (DomainError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -194,61 +194,88 @@ def case2_bounds(k: int) -> tuple[int, int, int, int, int]:
 def _qr_predicate(op: OddPrime) -> QrLookup:
     """Fast residue test on [0, p): table lookup, or Euler above the cutoff."""
     if op.value <= _TABLE_CUTOFF:
-        table = qr_table(op.value)
+        table = qr_table(op)
         return lambda a: table[a] == 1
     return lambda a: legendre_euler(a, op) == 1
 
 
-def _site(family_id: str, index) -> str:
-    if family_id == "C1_F4":
-        return f"C1_F4[j={index[0]},m={index[1]}]"
-    if family_id == "C1_SPECIALS":
-        return f"C1_SPECIALS[{index}]"
-    if family_id == "C2_TWO":
+def _pair_family(
+    family_id: str,
+    bound: int,
+    cands: range,
+    parts: range,
+    is_qr: QrLookup,
+    subfamily: Optional[int] = None,
+) -> FamilyReport:
+    """Run one ratio-pair family: the i-th candidate pairs with the i-th partner.
+
+    Exactly one member of each pair must be a residue, and that member is
+    the witness. The candidate progression sets the pair count, which must
+    equal the family's closed-form floor bound.
+    """
+    fam = FamilyReport(family_id, bound, subfamily=subfamily)
+    for cand, part in zip(cands, parts):
+        qa = is_qr(cand)
+        if qa == is_qr(part):
+            raise ConsistencyError(f"{family_id} pair ({cand}, {part}): not exactly one residue")
+        fam.witnesses.append(PairWitness(family_id, cand, part, cand if qa else part))
+    if len(fam.witnesses) != bound:
+        tag = family_id if subfamily is None else f"{family_id}[j={subfamily}]"
+        raise ConsistencyError(f"{tag} pair count disagrees with its floor bound")
+    return fam
+
+
+def _site(fam: FamilyReport, i: int) -> str:
+    """Ledger label of the i-th witness of a family."""
+    if fam.family_id == "C1_F4":
+        return f"C1_F4[j={fam.subfamily},m={2 * i + 1}]"
+    if fam.family_id == "C1_SPECIALS":
+        return f"C1_SPECIALS[{fam.witnesses[i].candidate}]"
+    if fam.family_id == "C2_TWO":
         return "C2_TWO"
-    return f"{family_id}[h={index}]"
+    return f"{fam.family_id}[h={i}]"
 
 
-def _is_expected_overlap(case: str, element: int, sites: list[tuple]) -> bool:
+def _is_expected_overlap(case: str, element: int, sites: list[tuple[FamilyReport, int]]) -> bool:
     # Case 1 discounts exactly one overlap: the element 4, produced by the
     # first family's pair (8, 4) and by the third family's element 4.
     if case != CASE_ONE or element != 4 or len(sites) != 2:
         return False
-    return {s[0] for s in sites} == {"C1_F1", "C1_F3"}
+    return {fam.family_id for fam, _ in sites} == {"C1_F1", "C1_F3"}
 
 
 def _finalize(
     op: OddPrime,
     case: str,
     families: list[FamilyReport],
-    claims: dict[int, list[tuple]],
     claimed_total: int,
     threshold: int,
 ) -> ConstructionReport:
     """Dedup accounting and verdict for an executed family system."""
-    ledger = []
-    for element in sorted(claims):
-        sites = claims[element]
-        if len(sites) > 1:
-            ledger.append(
-                DedupEntry(
-                    element,
-                    tuple(_site(fam, idx) for fam, idx in sites),
-                    _is_expected_overlap(case, element, sites),
-                )
-            )
-
-    # First claim wins: each family is credited only with elements no
-    # earlier family (in generation order) already produced.
-    seen: set[int] = set()
+    # Every witness with a residue claims it, in generation order. First
+    # claim wins: each family is credited only with elements no earlier
+    # family already produced.
+    claims: dict[int, list[tuple[FamilyReport, int]]] = {}
     for fam in families:
         count = 0
-        for w in fam.witnesses:
-            c = w.chosen_qr
-            if c is not None and c not in seen:
-                seen.add(c)
+        for i, w in enumerate(fam.witnesses):
+            if w.chosen_qr is None:
+                continue
+            sites = claims.setdefault(w.chosen_qr, [])
+            if not sites:
                 count += 1
+            sites.append((fam, i))
         fam.distinct_contribution = count
+
+    ledger = [
+        DedupEntry(
+            element,
+            tuple(_site(fam, i) for fam, i in sites),
+            _is_expected_overlap(case, element, sites),
+        )
+        for element, sites in sorted(claims.items())
+        if len(sites) > 1
+    ]
 
     if claimed_total != sum(f.claimed_bound for f in families):
         raise ConsistencyError("family bounds do not aggregate to the claimed total")
@@ -301,34 +328,10 @@ def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     b1, b2, b3, b4, b_specials = case1_bounds(k)
-    claims: dict[int, list[tuple]] = {}
-    families: list[FamilyReport] = []
-
-    f1 = FamilyReport("C1_F1", b1)
-    for h in range(0, (4 * k - 1) // 6 + 1):
-        cand, part = 6 * h + 2, 3 * h + 1
-        qa = is_qr(cand)
-        if qa == is_qr(part):
-            raise ConsistencyError(f"pair ({cand}, {part}) mod {pv}: not exactly one residue")
-        chosen = cand if qa else part
-        f1.witnesses.append(PairWitness("C1_F1", cand, part, chosen))
-        claims.setdefault(chosen, []).append(("C1_F1", h))
-    if len(f1.witnesses) != b1:
-        raise ConsistencyError("C1_F1 pair count disagrees with its floor bound")
-    families.append(f1)
-
-    f2 = FamilyReport("C1_F2", b2)
-    for h in range(0, (4 * k - 9) // 12 + 1):
-        cand, part = 12 * h + 10, 6 * h + 5
-        qa = is_qr(cand)
-        if qa == is_qr(part):
-            raise ConsistencyError(f"pair ({cand}, {part}) mod {pv}: not exactly one residue")
-        chosen = cand if qa else part
-        f2.witnesses.append(PairWitness("C1_F2", cand, part, chosen))
-        claims.setdefault(chosen, []).append(("C1_F2", h))
-    if len(f2.witnesses) != b2:
-        raise ConsistencyError("C1_F2 pair count disagrees with its floor bound")
-    families.append(f2)
+    families = [
+        _pair_family("C1_F1", b1, range(2, half + 1, 6), range(1, half, 3), is_qr),
+        _pair_family("C1_F2", b2, range(10, half + 1, 12), range(5, half, 6), is_qr),
+    ]
 
     # C1_F3's bound is one below its element count: the element 4 (h = 0)
     # always duplicates C1_F1's witness from the pair (8, 4).
@@ -337,7 +340,6 @@ def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
         x = 12 * h + 4
         if is_qr(x):
             f3.witnesses.append(PairWitness("C1_F3", x, 2 * x, x))
-            claims.setdefault(x, []).append(("C1_F3", h))
         else:
             dbl = 2 * x
             neg = (pv - 4 * x) % pv
@@ -355,41 +357,32 @@ def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
                         f"fallback {chosen} for non-residue {x} mod {pv} is not a residue"
                     )
                 f3.witnesses.append(PairWitness("C1_F3", x, chosen, chosen))
-                claims.setdefault(chosen, []).append(("C1_F3", h))
     families.append(f3)
 
-    f4_bound_sum = 0
-    for j in range(1, half.bit_length() + 1):
-        step = 3 << j
-        bound_j = (half + step) // (2 * step)
-        fam = FamilyReport("C1_F4", bound_j, subfamily=j)
-        m = 1
-        while step * m <= half:
-            cand = step * m
-            part = cand >> 1
-            qa = is_qr(cand)
-            if qa == is_qr(part):
-                raise ConsistencyError(f"pair ({cand}, {part}) mod {pv}: not exactly one residue")
-            chosen = cand if qa else part
-            fam.witnesses.append(PairWitness("C1_F4", cand, part, chosen))
-            claims.setdefault(chosen, []).append(("C1_F4", (j, m)))
-            m += 2
-        if len(fam.witnesses) != bound_j:
-            raise ConsistencyError(f"B_{j} pair count disagrees with its rounded bound")
-        f4_bound_sum += bound_j
-        families.append(fam)
+    f4 = [
+        _pair_family(
+            "C1_F4",
+            (half + (3 << j)) // (6 << j),
+            range(3 << j, half + 1, 6 << j),
+            range(3 << (j - 1), half, 3 << j),
+            is_qr,
+            subfamily=j,
+        )
+        for j in range(1, half.bit_length() + 1)
+    ]
+    f4_bound_sum = sum(f.claimed_bound for f in f4)
     if f4_bound_sum != b4 or f4_bound_sum != floor_half_series(Fraction(half, 6)):
         raise ConsistencyError("per-j bounds do not sum to floor((4k+1)/6)")
+    families.extend(f4)
 
     f_specials = FamilyReport("C1_SPECIALS", b_specials)
     for s in (4 * k + 1, 4 * k - 3):
         if not is_qr(s):
             raise ConsistencyError(f"special element {s} must be a residue mod {pv}")
         f_specials.witnesses.append(PairWitness("C1_SPECIALS", s, pv - s, s))
-        claims.setdefault(s, []).append(("C1_SPECIALS", s))
     families.append(f_specials)
 
-    return _finalize(op, CASE_ONE, families, claims, 2 * k + 1, (pv + 1) // 4)
+    return _finalize(op, CASE_ONE, families, 2 * k + 1, (pv + 1) // 4)
 
 
 def construct_case2(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> ConstructionReport:
@@ -413,36 +406,23 @@ def construct_case2(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     b1, b2, b3, b4, b_two = case2_bounds(k)
-    claims: dict[int, list[tuple]] = {}
-    families: list[FamilyReport] = []
-
+    # Rule r pairs the odd a = r mod 8 in A with (p-a)/2, stepping down by 4.
     rules = (
-        ("C2_F3MOD8", 3, k // 2, b1),
-        ("C2_F7MOD8", 7, (k - 1) // 2, b2),
-        ("C2_F1MOD8", 1, (2 * k + 1) // 4, b3),
-        ("C2_F5MOD8", 5, (2 * k - 1) // 4, b4),
+        ("C2_F3MOD8", 3, b1),
+        ("C2_F7MOD8", 7, b2),
+        ("C2_F1MOD8", 1, b3),
+        ("C2_F5MOD8", 5, b4),
     )
-    for family_id, residue, h_top, bound in rules:
-        fam = FamilyReport(family_id, bound)
-        for h in range(0, h_top + 1):
-            cand = 8 * h + residue
-            part = (pv - cand) // 2
-            qa = is_qr(cand)
-            if qa == is_qr(part):
-                raise ConsistencyError(f"pair ({cand}, {part}) mod {pv}: not exactly one residue")
-            chosen = cand if qa else part
-            fam.witnesses.append(PairWitness(family_id, cand, part, chosen))
-            claims.setdefault(chosen, []).append((family_id, h))
-        if len(fam.witnesses) != bound:
-            raise ConsistencyError(f"{family_id} pair count disagrees with its floor bound")
-        families.append(fam)
+    families = [
+        _pair_family(family_id, bound, range(r, half + 1, 8), range((pv - r) // 2, 0, -4), is_qr)
+        for family_id, r, bound in rules
+    ]
 
     f_two = FamilyReport("C2_TWO", b_two)
     f_two.witnesses.append(PairWitness("C2_TWO", 2, pv - 2, 2))
-    claims.setdefault(2, []).append(("C2_TWO", 0))
     families.append(f_two)
 
-    return _finalize(op, CASE_TWO, families, claims, 2 * k + 3, (pv + 1) // 4)
+    return _finalize(op, CASE_TWO, families, 2 * k + 3, (pv + 1) // 4)
 
 
 def verify_small_regime(p: int | OddPrime) -> ConstructionReport:
@@ -473,9 +453,10 @@ def verify_small_regime(p: int | OddPrime) -> ConstructionReport:
 
 def build_report(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> ConstructionReport:
     """Dispatch to the right constructor for any prime p = 3 mod 4."""
-    case = classify_case(p)
+    op = as_prime(p)
+    case = classify_case(op)
     if case == SMALL_REGIME:
-        return verify_small_regime(p)
+        return verify_small_regime(op)
     if case == CASE_ONE:
-        return construct_case1(p, qr_lookup)
-    return construct_case2(p, qr_lookup)
+        return construct_case1(op, qr_lookup)
+    return construct_case2(op, qr_lookup)

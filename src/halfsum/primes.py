@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -72,23 +71,3 @@ def primes_in_range(
 ) -> list[int]:
     """Exactly the primes in [lo, hi] matching the filter, ascending."""
     return list(iter_primes(lo, hi, residue, modulus))
-
-
-@dataclass(frozen=True)
-class PrimeStream:
-    """A restartable, side-effect-free stream of primes in [lo, hi].
-
-    residue_filter, when set, restricts the stream to p % m == r.
-    Independent instances may be consumed concurrently; each iteration
-    sieves from scratch, so workers can own disjoint subranges.
-    """
-
-    lo: int
-    hi: int
-    residue_filter: Optional[Tuple[int, int]] = None
-
-    def __iter__(self) -> Iterator[int]:
-        if self.residue_filter is None:
-            return iter_primes(self.lo, self.hi)
-        r, m = self.residue_filter
-        return iter_primes(self.lo, self.hi, r, m)

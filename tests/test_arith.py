@@ -11,33 +11,8 @@ from halfsum.arith import (
     is_prime,
     legendre_euler,
     legendre_reciprocity,
-    mod_pow,
 )
 from halfsum.errors import DomainError
-
-
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(2, 3, 7) == 1
-        assert mod_pow(5, 0, 13) == 1
-        assert mod_pow(3, 3, 7) == 6
-
-    def test_matches_repeated_multiplication(self):
-        for base in range(0, 12):
-            for exp in range(0, 10):
-                for modulus in (2, 3, 7, 97):
-                    acc = 1
-                    for _ in range(exp):
-                        acc = acc * base % modulus
-                    assert mod_pow(base, exp, modulus) == acc
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(DomainError):
-            mod_pow(2, 3, 0)
-        with pytest.raises(DomainError):
-            mod_pow(2, -1, 7)
 
 
 class TestIsPrime:

@@ -114,6 +114,12 @@ class TestConstruct:
         assert code == 1 and out == ""
         assert json.loads(target.read_text())["p"] == 43
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "construct", "43", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
 
 class TestVerify:
     def test_range_3_to_100(self, capsys):
@@ -237,6 +243,15 @@ class TestVerify:
         assert code == 0 and out == ""
         assert target.read_text().startswith("p,case,A,claimed,distinct,verdict")
 
+    def test_unwritable_out_fails_before_sweep(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run(
+            capsys, "verify", "--from", "3", "--to", "50", "--out", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert "wall time" not in err  # the sweep never ran
+
 
 class TestClassnum:
     def test_both_methods(self, capsys):
@@ -293,6 +308,18 @@ class TestLemma:
             capsys, "lemma", "--check-up-to", "50", "--seed", "7", "--rationals", "20"
         )
         assert code == 0 and "seed 7" in out
+
+    def test_negative_check_up_to(self, capsys):
+        code, out, err = run(capsys, "lemma", "--check-up-to", "-5")
+        assert code == 2 and out == ""
+        assert "--check-up-to" in err
+
+    def test_negative_rationals(self, capsys):
+        code, out, err = run(
+            capsys, "lemma", "--check-up-to", "3", "--rationals", "-4"
+        )
+        assert code == 2 and out == ""
+        assert "--rationals" in err
 
 
 class TestUsage:

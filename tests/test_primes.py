@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from halfsum.errors import DomainError
-from halfsum.primes import PrimeStream, iter_primes, primes_in_range
+from halfsum.primes import iter_primes, primes_in_range
 
 
 class TestPrimesInRange:
@@ -61,17 +61,6 @@ class TestPrimesInRange:
 
     def test_residue_normalisation(self):
         assert primes_in_range(1, 20, 7, 4) == primes_in_range(1, 20, 3, 4)
-
-
-class TestPrimeStream:
-    def test_restartable(self):
-        stream = PrimeStream(1, 100, residue_filter=(3, 4))
-        first = list(stream)
-        second = list(stream)
-        assert first == second == oracles.primes_trial(1, 100, 3, 4)
-
-    def test_unfiltered(self):
-        assert list(PrimeStream(10, 30)) == [11, 13, 17, 19, 23, 29]
 
     def test_ascending_and_lazy(self):
         it = iter_primes(2, 10**9)
