@@ -56,11 +56,12 @@ def _squares_mod(pv: int) -> Iterator[np.ndarray]:
 
 def half_sum_direct(p: int | OddPrime) -> HalfSumRecord:
     """A(p) by summing Legendre symbols for a = 1 .. (p-1)/2; O(p log p)."""
-    pv = as_prime(p).value
+    op = as_prime(p)
+    pv = op.value
     half = (pv - 1) // 2
     qr = 0
     for a in range(1, half + 1):
-        if legendre_euler(a, pv) == 1:
+        if legendre_euler(a, op) == 1:
             qr += 1
     return HalfSumRecord(pv, qr, half - qr, 2 * qr - half, "direct")
 
@@ -89,8 +90,8 @@ def half_sum(p: int | OddPrime, method: str = "auto") -> HalfSumRecord:
     if method == "sieve":
         return half_sum_sieve(p)
     if method == "auto":
-        pv = as_prime(p).value
-        return half_sum_direct(pv) if pv <= 10_000 else half_sum_sieve(pv)
+        op = as_prime(p)
+        return half_sum_direct(op) if op.value <= 10_000 else half_sum_sieve(op)
     raise DomainError(f"unknown method {method!r}")
 
 

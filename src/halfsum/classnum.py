@@ -1,6 +1,8 @@
 """Class numbers h(-p) for p = 3 mod 4, by two independent methods.
 
-Method one enumerates reduced binary quadratic forms of discriminant -p.
+Method one enumerates reduced binary quadratic forms of discriminant -p
+by divisor enumeration: for each odd b <= sqrt(p/3) it factors
+(b^2 + p)/4 = a*c with b <= a <= c, about p/15 trial divisions in all.
 Method two evaluates the finite character sum h = -(1/p) * sum a*(a/p)
 with exact integer arithmetic. The identity A(p) = (2 - (2/p)) * h(-p)
 ties both to the half-interval sum, and a truncated Dirichlet series
@@ -91,22 +93,24 @@ def reduced_forms(p: int | OddPrime) -> list[ReducedForm]:
 
     Reduction conditions: -a < b <= a <= c, with b >= 0 whenever a = c.
     Exactly one form per equivalence class, so the count is h(-p).
+
+    Divisor enumeration (Cohen, GTM 138, Alg. 5.3.5): b is odd because p
+    is, and |b| <= a <= c forces |b| <= sqrt(p/3). For each odd b >= 1,
+    the forms with middle coefficient +-b are the factorisations
+    q = (b^2 + p)/4 = a*c with b <= a <= sqrt(q). That is about p/15
+    trial divisions, against p/3 candidates for a search over (a, b).
     """
     pv = _require_3mod4(p).value
-    out = []
-    for a in range(1, isqrt(pv // 3) + 1):
-        four_a = 4 * a
-        for b in range(-a + 1, a + 1):
-            rem = b * b + pv
-            if rem % four_a:
-                continue
-            c = rem // four_a
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            out.append(ReducedForm(a, b, c))
-    return out
+    found = []
+    for b in range(1, isqrt(pv // 3) + 1, 2):
+        q = (b * b + pv) // 4
+        for a in [d for d in range(b, isqrt(q) + 1) if q % d == 0]:
+            c = q // a
+            found.append((a, b, c))
+            if b != a and a != c:
+                found.append((a, -b, c))
+    found.sort()
+    return [ReducedForm(a, b, c) for a, b, c in found]
 
 
 def reduced_forms_count(p: int | OddPrime) -> int:
@@ -120,8 +124,9 @@ def class_number_character_sum(p: int | OddPrime) -> int:
     The signed sum equals 2*S - p(p-1)/2 where S is the sum of all
     quadratic residues in [1, p-1]; the division by p must be exact.
     """
-    pv = _require_3mod4(p).value
-    signed = 2 * qr_value_sum(pv) - pv * (pv - 1) // 2
+    op = _require_3mod4(p)
+    pv = op.value
+    signed = 2 * qr_value_sum(op) - pv * (pv - 1) // 2
     h, rem = divmod(-signed, pv)
     if rem != 0:
         raise ConsistencyError(f"character sum {signed} is not divisible by {pv}")

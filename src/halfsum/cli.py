@@ -169,7 +169,9 @@ def _run_sweep(lo: int, hi: int, jobs: int, fast_bound: Optional[int]) -> RangeS
         chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
         worker = partial(_verify_chunk, fast_bound=fast_bound)
         results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The executor may start all its workers at once, so never ask for
+        # more than there are chunks to hand out.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             for part in pool.map(worker, chunks):
                 results.extend(part)
 
@@ -372,7 +374,8 @@ def cmd_identity(args) -> int:
         if p == 3:
             skipped_three = True
             continue
-        rec = identity_check(p)
+        op = OddPrime(p)
+        rec = identity_check(op)
         checked += 1
         if not rec.ok:
             failures += 1
@@ -382,7 +385,7 @@ def cmd_identity(args) -> int:
             )
         if args.l_check:
             terms = max(args.l_terms if args.l_terms else 100 * p, p)
-            lrec = l_value_estimate(p, terms)
+            lrec = l_value_estimate(op, terms)
             if not lrec.within_tolerance:
                 failures += 1
                 print(

@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from halfsum.arith import OddPrime
 from halfsum.charsum import (
     HalfSumRecord,
     full_sum,
@@ -66,6 +67,12 @@ class TestAuto:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             half_sum(7, method="guess")
+
+    def test_validated_prime_is_not_validated_again(self, is_prime_calls):
+        primes = [OddPrime(7919), OddPrime(10007)]  # direct, then sieve
+        is_prime_calls.clear()
+        assert [half_sum(op).method for op in primes] == ["direct", "sieve"]
+        assert is_prime_calls == []
 
 
 class TestResidueClassBehaviour:

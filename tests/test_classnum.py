@@ -38,8 +38,9 @@ class TestReducedForms:
                     assert f.b >= 0
 
     def test_against_brute_search(self):
+        # Unsorted: the list must come out ordered by (a, b) already.
         for p in oracles.primes_trial(7, 600, 3, 4):
-            got = sorted((f.a, f.b, f.c) for f in reduced_forms(p))
+            got = [(f.a, f.b, f.c) for f in reduced_forms(p)]
             assert got == oracles.forms_brute(p), p
 
     def test_domain(self):
@@ -62,8 +63,9 @@ class TestCharacterSum:
             assert class_number_character_sum(p) == oracles.class_number_brute(p)
 
     def test_methods_agree(self):
-        for p in oracles.primes_trial(7, 1000, 3, 4):
-            assert reduced_forms_count(p) == class_number_character_sum(p)
+        above_a_million = oracles.primes_trial(1_000_000, 1_000_200, 3, 4)
+        for p in oracles.primes_trial(7, 1000, 3, 4) + above_a_million:
+            assert reduced_forms_count(p) == class_number_character_sum(p), p
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -88,6 +90,13 @@ class TestIdentity:
             rec = identity_check(p)
             assert rec.ok, p
             assert rec.methods_agree and rec.identity_holds
+
+    def test_validates_the_prime_once(self, is_prime_calls):
+        # 7919 takes the direct symbol loop of half_sum, 1000003 the sieve.
+        for p in (7919, 1000003):
+            is_prime_calls.clear()
+            assert identity_check(p).ok
+            assert is_prime_calls == [p]
 
     def test_positivity_chain(self):
         for p in oracles.primes_trial(7, 1000, 3, 4):

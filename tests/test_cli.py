@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from halfsum import cli
 from halfsum.cli import main
 
 
@@ -212,6 +213,35 @@ class TestVerify:
             "2",
         )
         assert out1 == out2
+
+    def test_jobs_capped_at_chunk_count(self, capsys, monkeypatch):
+        # No process is started: the pool is replaced by one that records
+        # the worker count it is asked for and maps in this process.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                asked.append((self.max_workers, len(chunks)))
+                return map(fn, chunks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        argv = ("verify", "--from", "3", "--to", "400", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        for jobs in ("3", "100000"):
+            assert run(capsys, *argv, "--jobs", jobs)[:2] == (code, out)
+        (small, small_chunks), (huge, huge_chunks) = asked
+        assert small == 3 < small_chunks
+        assert huge == huge_chunks == out.count("\n") - 1  # a chunk per prime
 
     def test_wall_time_on_stderr_not_stdout(self, capsys):
         _, out, err = run(capsys, "verify", "--from", "3", "--to", "20")

@@ -1,12 +1,15 @@
-"""Byte-for-byte pins of the construction report and the sweep CSV.
+"""Byte-for-byte pins of the construction report, the sweep CSV and the
+class-number commands.
 
 Each case runs main(argv) and compares the sha256 of its stdout, and its
-exit code, with values recorded from the original hand-written family
-loops. They cover what the structural tests do not: the dedup ledger's
+exit code, with values recorded from earlier implementations: the
+construction and verify cases from the hand-written family loops, the
+identity and classnum cases from the search over (a, b) for reduced
+forms. They cover what the structural tests do not: the dedup ledger's
 site strings, the empty C1_F4 subfamilies in the JSON, and the text
-report as a whole. A refactor of the construction must leave every digest
-unchanged. To see what moved, diff the output of the failing command
-against the same command run on an older checkout.
+report as a whole. A refactor must leave every digest unchanged. To see
+what moved, diff the output of the failing command against the same
+command run on an older checkout.
 """
 
 import hashlib
@@ -41,6 +44,13 @@ GOLDEN = [
         7630,
         "1deba7b8ef98585dfe994952b9826903807cde79f7b81898625201cb6e60fdd3",
     ),
+    # The class-number identity, below the direct-loop cutoff and near 10^6,
+    # and h(-p) by both methods.
+    (("identity", "--from", "5", "--to", "3000"), 0, 58, "2e6b70cccbb039f79e6cf4137dd9cd587c0399cf3cc551d10f0551f3b2dccea3"),
+    (("identity", "--from", "1000000", "--to", "1000200"), 0, 65, "1dcbbe1cae7e7082ac46084a1579ad53b4e78ff65e52e9411b3618ccf8c8f4da"),
+    (("classnum", "23"), 0, 11, "e4160c5212951a283e7c10da1de1dad13b93582600bba015f1f7e8638cb5f77d"),
+    (("classnum", "163"), 0, 12, "6205f290b7be66d978523fcd0d6d9a6f028633635d1debac0e01d1e8b6cd0b73"),
+    (("classnum", "1000003"), 0, 18, "50bb68c6bc40ca199545d04e8f615ae8a5e98856cec665ec3afa28c030c900fe"),
 ]
 
 
