@@ -18,13 +18,9 @@ import math
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from .arith import OddPrime, as_prime, legendre_euler
-from .charsum import half_sum, qr_value_sum, _qr_marks
+from .charsum import half_sum_sieve, l_series_partial, qr_value_sum
 from .errors import ConsistencyError, DomainError
-
-_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def identity_check(p: int | OddPrime) -> ClassNumberRecord:
     op = _require_3mod4(p)
     h_forms = reduced_forms_count(op)
     h_chs = class_number_character_sum(op)
-    a_value = half_sum(op).a_value
+    a_value = half_sum_sieve(op).a_value
     rhs = (2 - legendre_euler(2, op)) * h_forms
     return ClassNumberRecord(op.value, h_forms, h_chs, a_value, rhs)
 
@@ -161,15 +157,9 @@ def l_value_estimate(p: int | OddPrime, terms: int) -> LFunctionRecord:
         raise DomainError(f"terms must be >= p = {pv}, got {terms}")
     h = class_number_character_sum(op)
     l_exact = math.pi * h / math.sqrt(pv)
+    l_partial = l_series_partial(op, terms)
 
-    signs = np.where(_qr_marks(pv) == 1, 1.0, -1.0)
-    signs[0] = 0.0
-    l_partial = 0.0
-    for start in range(1, terms + 1, _BLOCK):
-        n = np.arange(start, min(start + _BLOCK - 1, terms) + 1, dtype=np.int64)
-        l_partial += float(np.sum(signs[n % pv] / n))
-
-    a_value = half_sum(op).a_value
+    a_value = half_sum_sieve(op).a_value
     wired = math.sqrt(pv) / math.pi * (2 - legendre_euler(2, op)) * l_exact
     residual = abs(a_value - wired)
     if residual >= 1e-9:

@@ -25,7 +25,7 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Optional, TextIO
 
 from . import __version__
 from .arith import OddPrime, legendre_euler, legendre_reciprocity
-from .charsum import half_sum, half_sum_sieve
+from .charsum import half_sum_direct, half_sum_sieve
 from .classnum import (
     class_number_character_sum,
     identity_check,
@@ -105,7 +105,7 @@ def _check_prime(p: int, fast_bound: Optional[int]):
 
     report = build_report(op)
     if report.verdict == BOUND_VIOLATION:
-        violations.append((p, BOUND_VIOLATION, _violation_detail(report)))
+        violations.append((p, BOUND_VIOLATION, report.reason))
     anomaly = None
     unexpected = report.unexpected_duplicates
     if unexpected:
@@ -119,29 +119,6 @@ def _check_prime(p: int, fast_bound: Optional[int]):
         report.verdict,
     )
     return row, violations, anomaly
-
-
-def _violation_detail(report) -> str:
-    failed = report.failed_pairs
-    if failed:
-        w = failed[0]
-        half = (report.p - 1) // 2
-        return (
-            f"pair ({w.candidate}, {w.partner}) in {w.rule_id}: "
-            f"no residue lands in [1, {half}]"
-        )
-    if not report.threshold_met:
-        return (
-            f"distinct {report.distinct_qr_total} < "
-            f"threshold {report.required_threshold}"
-        )
-    for f in report.families:
-        if f.distinct_contribution < f.claimed_bound:
-            return (
-                f"family {f.family_id} contributed "
-                f"{f.distinct_contribution} < bound {f.claimed_bound}"
-            )
-    return "A(p) <= 0" if report.case == SMALL_REGIME else "unspecified"
 
 
 def _ledger_excerpt(entries, limit: int = 3) -> str:
@@ -269,7 +246,8 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_asum(args) -> int:
-    rec = half_sum(args.p, method=args.method)
+    method = half_sum_sieve if args.method == "sieve" else half_sum_direct
+    rec = method(args.p)
     if args.json:
         print(
             json.dumps(
@@ -367,6 +345,9 @@ def cmd_identity(args) -> int:
     if args.lo > args.hi:
         print(f"error: --from {args.lo} exceeds --to {args.hi}", file=sys.stderr)
         return 2
+    if args.l_terms is not None and args.l_terms < 1:
+        print(f"error: --l-terms must be >= 1, got {args.l_terms}", file=sys.stderr)
+        return 2
     failures = 0
     checked = 0
     skipped_three = False
@@ -384,7 +365,7 @@ def cmd_identity(args) -> int:
                 f"A={rec.identity_lhs} rhs={rec.identity_rhs}"
             )
         if args.l_check:
-            terms = max(args.l_terms if args.l_terms else 100 * p, p)
+            terms = max(args.l_terms or 100 * p, p)
             lrec = l_value_estimate(op, terms)
             if not lrec.within_tolerance:
                 failures += 1
@@ -440,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asum = sub.add_parser("asum", help="half-interval character sum A(p)")
     p_asum.add_argument("p", type=int)
     p_asum.add_argument(
-        "--method", choices=("auto", "direct", "sieve"), default="auto"
+        "--method", choices=("direct", "sieve"), default="sieve"
     )
     p_asum.add_argument("--json", action="store_true")
     p_asum.set_defaults(func=cmd_asum)
@@ -520,8 +501,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ResourceLimitError, OSError) as exc:
+    except (DomainError, ResourceLimitError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 2
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .arith import OddPrime, as_prime, legendre_euler
-from .charsum import half_sum, qr_table
+from .charsum import half_sum_direct, qr_table
 from .errors import ConsistencyError, DomainError
 from .floorlemma import floor_half_series
 
@@ -62,7 +62,6 @@ class PairWitness(NamedTuple):
     recording a pair the construction could not use.
     """
 
-    rule_id: str
     candidate: int
     partner: int
     chosen_qr: Optional[int]
@@ -104,6 +103,8 @@ class ConstructionReport:
     distinct_qr_total: int
     dedup_ledger: list[DedupEntry]
     verdict: str
+    # For a BoundViolation, the first claim that failed; empty otherwise.
+    reason: str
 
     @property
     def threshold_met(self) -> bool:
@@ -218,7 +219,7 @@ def _pair_family(
         qa = is_qr(cand)
         if qa == is_qr(part):
             raise ConsistencyError(f"{family_id} pair ({cand}, {part}): not exactly one residue")
-        fam.witnesses.append(PairWitness(family_id, cand, part, cand if qa else part))
+        fam.witnesses.append(PairWitness(cand, part, cand if qa else part))
     if len(fam.witnesses) != bound:
         tag = family_id if subfamily is None else f"{family_id}[j={subfamily}]"
         raise ConsistencyError(f"{tag} pair count disagrees with its floor bound")
@@ -251,7 +252,7 @@ def _finalize(
     claimed_total: int,
     threshold: int,
 ) -> ConstructionReport:
-    """Dedup accounting and verdict for an executed family system."""
+    """Dedup accounting, verdict and reason for an executed family system."""
     # Every witness with a residue claims it, in generation order. First
     # claim wins: each family is credited only with elements no earlier
     # family already produced.
@@ -280,7 +281,29 @@ def _finalize(
     if claimed_total != sum(f.claimed_bound for f in families):
         raise ConsistencyError("family bounds do not aggregate to the claimed total")
 
-    report = ConstructionReport(
+    # One ladder decides the verdict and, for a violation, its reason.
+    failed = next(((fam, w) for fam in families for w in fam.failed_pairs), None)
+    short = next((f for f in families if f.distinct_contribution < f.claimed_bound), None)
+    verdict, reason = BOUND_VIOLATION, ""
+    if failed:
+        fam, w = failed
+        reason = (
+            f"pair ({w.candidate}, {w.partner}) in {fam.family_id}: "
+            f"no residue lands in [1, {(op.value - 1) // 2}]"
+        )
+    elif any(not e.expected for e in ledger):
+        verdict = DEDUP_ANOMALY
+    elif len(claims) < threshold:
+        reason = f"distinct {len(claims)} < threshold {threshold}"
+    elif short:
+        reason = (
+            f"family {short.family_id} contributed "
+            f"{short.distinct_contribution} < bound {short.claimed_bound}"
+        )
+    else:
+        verdict = VERIFIED
+
+    return ConstructionReport(
         p=op.value,
         case=case,
         k=op.k,
@@ -289,17 +312,9 @@ def _finalize(
         claimed_total=claimed_total,
         distinct_qr_total=len(claims),
         dedup_ledger=ledger,
-        verdict="",
+        verdict=verdict,
+        reason=reason,
     )
-    if report.failed_pairs:
-        report.verdict = BOUND_VIOLATION
-    elif report.unexpected_duplicates:
-        report.verdict = DEDUP_ANOMALY
-    elif report.threshold_met and report.bounds_met:
-        report.verdict = VERIFIED
-    else:
-        report.verdict = BOUND_VIOLATION
-    return report
 
 
 def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> ConstructionReport:
@@ -339,7 +354,7 @@ def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
     for h in range(0, (4 * k - 3) // 12 + 1):
         x = 12 * h + 4
         if is_qr(x):
-            f3.witnesses.append(PairWitness("C1_F3", x, 2 * x, x))
+            f3.witnesses.append(PairWitness(x, 2 * x, x))
         else:
             dbl = 2 * x
             neg = (pv - 4 * x) % pv
@@ -350,13 +365,13 @@ def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
             else:
                 chosen = None
             if chosen is None:
-                f3.witnesses.append(PairWitness("C1_F3", x, dbl, None))
+                f3.witnesses.append(PairWitness(x, dbl, None))
             else:
                 if not is_qr(chosen):
                     raise ConsistencyError(
                         f"fallback {chosen} for non-residue {x} mod {pv} is not a residue"
                     )
-                f3.witnesses.append(PairWitness("C1_F3", x, chosen, chosen))
+                f3.witnesses.append(PairWitness(x, chosen, chosen))
     families.append(f3)
 
     f4 = [
@@ -379,7 +394,7 @@ def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
     for s in (4 * k + 1, 4 * k - 3):
         if not is_qr(s):
             raise ConsistencyError(f"special element {s} must be a residue mod {pv}")
-        f_specials.witnesses.append(PairWitness("C1_SPECIALS", s, pv - s, s))
+        f_specials.witnesses.append(PairWitness(s, pv - s, s))
     families.append(f_specials)
 
     return _finalize(op, CASE_ONE, families, 2 * k + 1, (pv + 1) // 4)
@@ -419,7 +434,7 @@ def construct_case2(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
     ]
 
     f_two = FamilyReport("C2_TWO", b_two)
-    f_two.witnesses.append(PairWitness("C2_TWO", 2, pv - 2, 2))
+    f_two.witnesses.append(PairWitness(2, pv - 2, 2))
     families.append(f_two)
 
     return _finalize(op, CASE_TWO, families, 2 * k + 3, (pv + 1) // 4)
@@ -437,17 +452,21 @@ def verify_small_regime(p: int | OddPrime) -> ConstructionReport:
         raise DomainError("construction applies only to p = 3 mod 4")
     if op.value > 31:
         raise DomainError(f"small regime covers p <= 31, got {op.value}")
-    rec = half_sum(op, method="direct")
+    rec = half_sum_direct(op)
+    threshold = (op.value + 1) // 4
+    # For p = 3 mod 4, A(p) <= 0 exactly when the residue count misses the
+    # threshold, so that is the reason a violation reports.
     return ConstructionReport(
         p=op.value,
         case=SMALL_REGIME,
         k=op.k,
         families=[],
-        required_threshold=(op.value + 1) // 4,
+        required_threshold=threshold,
         claimed_total=0,
         distinct_qr_total=rec.qr_count,
         dedup_ledger=[],
         verdict=VERIFIED if rec.a_value > 0 else BOUND_VIOLATION,
+        reason="" if rec.a_value > 0 else f"distinct {rec.qr_count} < threshold {threshold}",
     )
 
 

@@ -1,15 +1,18 @@
 """Tests for half-interval and full-interval character sums."""
 
+import math
+
 import pytest
 
 import oracles
+from halfsum import charsum
 from halfsum.arith import OddPrime
 from halfsum.charsum import (
     HalfSumRecord,
     full_sum,
-    half_sum,
     half_sum_direct,
     half_sum_sieve,
+    l_series_partial,
     qr_table,
     qr_value_sum,
 )
@@ -56,22 +59,11 @@ class TestMethodAgreement:
         for p in oracles.primes_trial(3, 3000):
             assert half_sum_direct(p).a_value == half_sum_sieve(p).a_value
 
-
-class TestAuto:
-    def test_dispatch(self):
-        assert half_sum(101).method == "direct"
-        assert half_sum(9973).method == "direct"
-        assert half_sum(10007).method == "sieve"
-        assert half_sum(101, method="sieve").method == "sieve"
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            half_sum(7, method="guess")
-
     def test_validated_prime_is_not_validated_again(self, is_prime_calls):
-        primes = [OddPrime(7919), OddPrime(10007)]  # direct, then sieve
+        primes = [OddPrime(7919), OddPrime(10007)]
         is_prime_calls.clear()
-        assert [half_sum(op).method for op in primes] == ["direct", "sieve"]
+        for op in primes:
+            assert half_sum_direct(op).a_value == half_sum_sieve(op).a_value
         assert is_prime_calls == []
 
 
@@ -133,3 +125,28 @@ class TestQrHelpers:
     def test_qr_value_sum_matches_brute(self, small_odd_primes):
         for p in small_odd_primes[:30]:
             assert qr_value_sum(p) == sum(oracles.qr_set(p))
+
+    def test_l_series_partial_matches_brute(self):
+        for p in (7, 11, 23, 101):
+            terms = 7 * p + 3
+            brute = math.fsum(oracles.symbol_brute(n, p) / n for n in range(1, terms + 1))
+            assert l_series_partial(p, terms) == pytest.approx(brute, abs=1e-12)
+
+    def test_l_series_partial_spans_blocks(self, monkeypatch):
+        whole = l_series_partial(23, 500)
+        monkeypatch.setattr(charsum, "_BLOCK", 7)
+        assert l_series_partial(23, 500) == pytest.approx(whole, abs=1e-12)
+
+
+class TestLimits:
+    def test_sieve_limit_guards_the_residue_sum(self):
+        op = OddPrime(2147483659)  # prime just above 2^31
+        with pytest.raises(ResourceLimitError):
+            qr_value_sum(op)
+
+    def test_table_limit_guards_every_table(self, monkeypatch):
+        monkeypatch.setattr(charsum, "_TABLE_LIMIT", 100)
+        assert len(qr_table(97)) == 97
+        for fn in (qr_table, full_sum, lambda p: l_series_partial(p, 1000)):
+            with pytest.raises(ResourceLimitError):
+                fn(101)

@@ -92,7 +92,6 @@ class TestIdentity:
             assert rec.methods_agree and rec.identity_holds
 
     def test_validates_the_prime_once(self, is_prime_calls):
-        # 7919 takes the direct symbol loop of half_sum, 1000003 the sieve.
         for p in (7919, 1000003):
             is_prime_calls.clear()
             assert identity_check(p).ok

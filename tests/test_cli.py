@@ -8,10 +8,11 @@ failed verification, 2 usage error.
 import csv
 import io
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from halfsum import cli
+from halfsum import charsum, cli
 from halfsum.cli import main
 
 
@@ -62,12 +63,19 @@ class TestAsum:
             "qr_count": 4,
             "nqr_count": 1,
             "a_value": 3,
-            "method": "direct",
+            "method": "sieve",
         }
 
     def test_method_flag(self, capsys):
         code, out, _ = run(capsys, "asum", "23", "--method", "sieve", "--json")
         assert code == 0 and json.loads(out)["method"] == "sieve"
+        code, out, _ = run(capsys, "asum", "23", "--method", "direct", "--json")
+        assert code == 0 and json.loads(out)["method"] == "direct"
+
+    def test_no_auto_method(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["asum", "23", "--method", "auto"])
+        assert exc.value.code == 2
 
     def test_composite(self, capsys):
         code, _, err = run(capsys, "asum", "4")
@@ -243,6 +251,32 @@ class TestVerify:
         assert small == 3 < small_chunks
         assert huge == huge_chunks == out.count("\n") - 1  # a chunk per prime
 
+    @pytest.mark.parametrize(
+        "failure",
+        [BrokenProcessPool("a worker died"), KeyboardInterrupt()],
+        ids=["broken-pool", "interrupt"],
+    )
+    def test_pool_failure_exits_2(self, capsys, monkeypatch, failure):
+        # No process is started: the pool's map raises what a crashed worker
+        # or a Ctrl-C raises in the parent.
+        class FailingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                raise failure
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FailingPool)
+        code, out, err = run(capsys, "verify", "--from", "3", "--to", "400", "--jobs", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_wall_time_on_stderr_not_stdout(self, capsys):
         _, out, err = run(capsys, "verify", "--from", "3", "--to", "20")
         assert "wall time" in err
@@ -319,6 +353,21 @@ class TestIdentity:
 
     def test_inverted_range(self, capsys):
         assert run(capsys, "identity", "--from", "10", "--to", "5")[0] == 2
+
+    def test_l_terms_below_one(self, capsys):
+        for n in ("0", "-5"):
+            argv = ("identity", "--from", "5", "--to", "50", "--l-check", "--l-terms", n)
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "--l-terms" in err
+
+    def test_l_check_past_table_limit(self, capsys, monkeypatch):
+        # The L-series signs come from a p-byte table: a prime past the table
+        # limit stops the command before that table is allocated.
+        monkeypatch.setattr(charsum, "_TABLE_LIMIT", 40)
+        code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "table limit" in err
 
 
 class TestLemma:

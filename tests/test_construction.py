@@ -154,10 +154,10 @@ class TestFrozenValues:
         # No pair fails below 107; at 107 and 131 exactly one C1_F3 pair does.
         for p in oracles.primes_trial(32, 106, 3, 4):
             assert not build_report(p).failed_pairs, p
-        w = build_report(107).failed_pairs
-        assert len(w) == 1 and w[0].rule_id == "C1_F3" and w[0].candidate == 28
-        w = build_report(131).failed_pairs
-        assert len(w) == 1 and w[0].candidate == 40
+        for p, candidate in ((107, 28), (131, 40)):
+            report = build_report(p)
+            failed = [(f.family_id, w.candidate) for f in report.families for w in f.failed_pairs]
+            assert failed == [("C1_F3", candidate)], p
 
     def test_case1_bounds_example_p59(self):
         report = build_report(59)
@@ -268,6 +268,12 @@ class TestStructuralInvariants:
             else:
                 assert report.verdict == VERIFIED
                 assert report.threshold_met and report.bounds_met
+
+    def test_reason_only_for_violations(self, reports):
+        for report in reports:
+            assert bool(report.reason) == (report.verdict == BOUND_VIOLATION), report.p
+        assert build_report(107).reason == "pair (28, 56) in C1_F3: no residue lands in [1, 53]"
+        assert all(not build_report(p).reason for p in (7, 11, 19, 23, 31))
 
     def test_family_order_and_ids(self):
         r43 = build_report(43)

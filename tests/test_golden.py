@@ -1,12 +1,14 @@
-"""Byte-for-byte pins of the construction report, the sweep CSV and the
-class-number commands.
+"""Byte-for-byte pins of the construction report, the sweep report in
+text, JSON and CSV, A(p) and the class-number commands.
 
 Each case runs main(argv) and compares the sha256 of its stdout, and its
 exit code, with values recorded from earlier implementations: the
-construction and verify cases from the hand-written family loops, the
-identity and classnum cases from the search over (a, b) for reduced
-forms. They cover what the structural tests do not: the dedup ledger's
-site strings, the empty C1_F4 subfamilies in the JSON, and the text
+construction and verify CSV cases from the hand-written family loops,
+the identity and classnum cases from the search over (a, b) for reduced
+forms, the verify text and JSON cases and asum from the code that worked
+out each BoundViolation's reason apart from its verdict. They cover what
+the structural tests do not: the dedup ledger's site strings, the
+violation reasons, the empty C1_F4 subfamilies in the JSON, and the text
 report as a whole. A refactor must leave every digest unchanged. To see
 what moved, diff the output of the failing command against the same
 command run on an older checkout.
@@ -44,7 +46,23 @@ GOLDEN = [
         7630,
         "1deba7b8ef98585dfe994952b9826903807cde79f7b81898625201cb6e60fdd3",
     ),
-    # The class-number identity, below the direct-loop cutoff and near 10^6,
+    # The text report carries each BoundViolation's reason; --strict adds the
+    # dedup anomalies as violations.
+    (("verify", "--from", "3", "--to", "3000"), 1, 6938, "7028c136ae41828d37bf56b4d2399513a775a0aa2709229eddc713e6272acdca"),
+    (
+        ("verify", "--from", "3", "--to", "3000", "--strict"),
+        1,
+        6949,
+        "238374911527831c1718a8793a62fea49747b2db1898b536315dbd40d4cf2feb",
+    ),
+    (
+        ("verify", "--from", "3", "--to", "3000", "--format", "json"),
+        1,
+        69624,
+        "aa85cdf4afb801bee27dddf9dbad66e4510a12d7f26e68f9390d75d5e87a2b2b",
+    ),
+    (("asum", "10007", "--json"), 0, 97, "e9ba7d200622084e61fd7f1ca8b9357e7ab46d556e37dca10f1002d41bb4f510"),
+    # The class-number identity up to 3000 and near 10^6,
     # and h(-p) by both methods.
     (("identity", "--from", "5", "--to", "3000"), 0, 58, "2e6b70cccbb039f79e6cf4137dd9cd587c0399cf3cc551d10f0551f3b2dccea3"),
     (("identity", "--from", "1000000", "--to", "1000200"), 0, 65, "1dcbbe1cae7e7082ac46084a1579ad53b4e78ff65e52e9411b3618ccf8c8f4da"),
