@@ -113,7 +113,7 @@ def qr_table(p: int | OddPrime) -> bytes:
     """Length-p lookup table: entry a is 1 iff a is a quadratic residue mod p.
 
     Entry 0 is 0. A bytes object indexes faster than a numpy array in
-    per-element Python loops, which is what the construction audit runs.
+    per-element Python loops; vectorised code reads _qr_marks instead.
     """
     return _qr_marks(as_prime(p).value).tobytes()
 

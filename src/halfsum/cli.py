@@ -107,9 +107,8 @@ def _check_prime(p: int, fast_bound: Optional[int]):
     if report.verdict == BOUND_VIOLATION:
         violations.append((p, BOUND_VIOLATION, report.reason))
     anomaly = None
-    unexpected = report.unexpected_duplicates
-    if unexpected:
-        anomaly = (p, _ledger_excerpt(unexpected))
+    if report.unexpected_count:
+        anomaly = (p, _ledger_excerpt(report.first_unexpected(3), report.unexpected_count))
     row = RangeRow(
         p,
         report.case,
@@ -121,13 +120,11 @@ def _check_prime(p: int, fast_bound: Optional[int]):
     return row, violations, anomaly
 
 
-def _ledger_excerpt(entries, limit: int = 3) -> str:
-    parts = [
-        f"{e.element} claimed by {', '.join(e.sites)}" for e in entries[:limit]
-    ]
-    extra = len(entries) - limit
-    if extra > 0:
-        parts.append(f"and {extra} more")
+def _ledger_excerpt(entries, total: int) -> str:
+    """The given leading ledger entries, and how many of total are left out."""
+    parts = [f"{e.element} claimed by {', '.join(e.sites)}" for e in entries]
+    if total > len(entries):
+        parts.append(f"and {total - len(entries)} more")
     return "; ".join(parts)
 
 
@@ -277,10 +274,11 @@ def _render_construct_text(report, out: TextIO) -> None:
         tag = f.family_id if f.subfamily is None else f"{f.family_id}[j={f.subfamily}]"
         line = (
             f"family {tag}: bound {f.claimed_bound}, "
-            f"contributed {f.distinct_contribution}, pairs {len(f.witnesses)}"
+            f"contributed {f.distinct_contribution}, pairs {f.pairs}"
         )
-        if f.failed_pairs:
-            line += f", FAILED {len(f.failed_pairs)}"
+        failed = len(f.failed_pairs)
+        if failed:
+            line += f", FAILED {failed}"
         out.write(line + "\n")
     if report.dedup_ledger:
         out.write("dedup ledger:\n")

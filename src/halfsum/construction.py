@@ -12,6 +12,13 @@ evaluation, and audits three separate claims:
      sanctioned overlap (the element 4 in Case 1, which the count bounds
      already discount).
 
+Each family runs as numpy columns: its candidates and partners are
+progressions, their symbols are read from the residue marks of
+charsum._qr_marks, and every check applies to the whole family at once.
+First-claim-wins dedup is one stable sort of all witnesses in generation
+order. PairWitness and DedupEntry objects, and the ledger's site labels,
+are built from the columns only when first read, and then kept.
+
 Failures are never patched over; they become structured verdicts:
 
   - BoundViolation: some pair has no residue inside A (or a count bound
@@ -23,17 +30,23 @@ Failures are never patched over; they become structured verdicts:
 
 Case 1 covers p = 8k+3 (where 2 is a non-residue), Case 2 covers p = 8k+7
 (where 2 is a residue); primes p <= 31 are verified directly from A(p).
+Primes above _CONSTRUCT_LIMIT are refused, which bounds the memory of one
+audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from functools import cached_property
+from itertools import islice
+from typing import NamedTuple, Optional
 
-from .arith import OddPrime, as_prime, legendre_euler
-from .charsum import half_sum_direct, qr_table
-from .errors import ConsistencyError, DomainError
+import numpy as np
+
+from .arith import OddPrime, as_prime
+from .charsum import _qr_marks, half_sum_direct
+from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .floorlemma import floor_half_series
 
 CASE_ONE = "Case1"
@@ -47,11 +60,12 @@ DEDUP_ANOMALY = "DedupAnomaly"
 # Primes handled by direct verification instead of the construction.
 SMALL_REGIME_PRIMES = (3, 7, 11, 19, 23, 31)
 
-# Above this, witness lookups fall back to Euler's criterion per element
-# instead of a precomputed table.
-_TABLE_CUTOFF = 1 << 26
-
-QrLookup = Callable[[int], bool]
+# An audit makes about p/4 pairs and peaks near 62 bytes per pair (traced
+# at p = 1000003), so at this limit it stays near 130 MB; construct --json,
+# which also builds every witness, peaks near 420 bytes per pair, ~0.9 GB.
+# Elements and their doubles stay far below 2^31, so the columns are int32.
+_CONSTRUCT_LIMIT = 1 << 23
+_INT = np.int32
 
 
 class PairWitness(NamedTuple):
@@ -75,22 +89,74 @@ class DedupEntry(NamedTuple):
     expected: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class FamilyReport:
-    """Audit record for one pairing family."""
+    """Audit record for one pairing family, held as columns.
+
+    Pair i is (candidates[i], partners[i]) and its witness is chosen[i],
+    which is 0 for a pair with no residue in [1, (p-1)/2].
+    """
 
     family_id: str
     claimed_bound: int
-    witnesses: list[PairWitness] = field(default_factory=list)
+    candidates: np.ndarray
+    partners: np.ndarray
+    chosen: np.ndarray
     subfamily: Optional[int] = None
     distinct_contribution: int = 0
 
     @property
+    def pairs(self) -> int:
+        return len(self.chosen)
+
+    @cached_property
+    def witnesses(self) -> list[PairWitness]:
+        chosen = [w or None for w in self.chosen.tolist()]
+        return list(map(PairWitness, self.candidates.tolist(), self.partners.tolist(), chosen))
+
+    @property
     def failed_pairs(self) -> list[PairWitness]:
-        return [w for w in self.witnesses if w.chosen_qr is None]
+        idx = self.chosen == 0
+        return [
+            PairWitness(c, q, None)
+            for c, q in zip(self.candidates[idx].tolist(), self.partners[idx].tolist())
+        ]
 
 
-@dataclass
+@dataclass(eq=False)
+class _Ledger:
+    """The elements claimed by more than one site, as columns.
+
+    Group g is the element elements[g]. Its claims are the generation
+    indices order[head[g] : head[g] + counts[g]], in generation order, and
+    starts[f] is the generation index of family f's first pair.
+    """
+
+    families: list[FamilyReport]
+    starts: np.ndarray
+    order: np.ndarray
+    head: np.ndarray
+    counts: np.ndarray
+    elements: np.ndarray
+    expected: np.ndarray
+
+    def entries(self, groups: np.ndarray) -> list[DedupEntry]:
+        """DedupEntry objects for the given groups, site labels included."""
+        counts = self.counts[groups]
+        offsets = np.cumsum(counts) - counts
+        pos = self.order[np.repeat(self.head[groups] - offsets, counts) + np.arange(counts.sum())]
+        owner, local = _locate(self.starts, pos)
+        families = self.families
+        labels = iter([_site(families[o], i) for o, i in zip(owner.tolist(), local.tolist())])
+        return [
+            DedupEntry(e, tuple(islice(labels, c)), x)
+            for e, c, x in zip(
+                self.elements[groups].tolist(), counts.tolist(), self.expected[groups].tolist()
+            )
+        ]
+
+
+@dataclass(eq=False)
 class ConstructionReport:
     """Full audit of the construction run for one prime."""
 
@@ -101,10 +167,12 @@ class ConstructionReport:
     required_threshold: int
     claimed_total: int
     distinct_qr_total: int
-    dedup_ledger: list[DedupEntry]
     verdict: str
     # For a BoundViolation, the first claim that failed; empty otherwise.
     reason: str
+    # Ledger entries that are not the sanctioned overlap.
+    unexpected_count: int = 0
+    _ledger: Optional[_Ledger] = field(default=None, repr=False)
 
     @property
     def threshold_met(self) -> bool:
@@ -120,9 +188,22 @@ class ConstructionReport:
     def failed_pairs(self) -> list[PairWitness]:
         return [w for f in self.families for w in f.failed_pairs]
 
+    @cached_property
+    def dedup_ledger(self) -> list[DedupEntry]:
+        """Every element claimed by more than one site, in ascending order."""
+        if self._ledger is None:
+            return []
+        return self._ledger.entries(np.arange(len(self._ledger.elements)))
+
     @property
     def unexpected_duplicates(self) -> list[DedupEntry]:
         return [e for e in self.dedup_ledger if not e.expected]
+
+    def first_unexpected(self, limit: int) -> list[DedupEntry]:
+        """The first `limit` unexpected ledger entries; the rest are not built."""
+        if self._ledger is None:
+            return []
+        return self._ledger.entries(np.flatnonzero(~self._ledger.expected)[:limit])
 
     def to_json_dict(self) -> dict:
         fams = []
@@ -132,9 +213,7 @@ class ConstructionReport:
                 entry["j"] = f.subfamily
             entry["bound"] = f.claimed_bound
             entry["contributed"] = f.distinct_contribution
-            entry["witnesses"] = [
-                [w.candidate, w.partner, w.chosen_qr] for w in f.witnesses
-            ]
+            entry["witnesses"] = [list(w) for w in f.witnesses]
             fams.append(entry)
         return {
             "schema": 1,
@@ -192,20 +271,23 @@ def case2_bounds(k: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def _qr_predicate(op: OddPrime) -> QrLookup:
-    """Fast residue test on [0, p): table lookup, or Euler above the cutoff."""
-    if op.value <= _TABLE_CUTOFF:
-        table = qr_table(op)
-        return lambda a: table[a] == 1
-    return lambda a: legendre_euler(a, op) == 1
+def _residue_flags(op: OddPrime, marks: Optional[np.ndarray]) -> np.ndarray:
+    """Boolean residue flags on [0, p), from marks or from charsum._qr_marks."""
+    if op.value > _CONSTRUCT_LIMIT:
+        raise ResourceLimitError(
+            f"p = {op.value} exceeds the construction limit {_CONSTRUCT_LIMIT}"
+        )
+    if marks is None:
+        marks = _qr_marks(op.value)
+    return np.asarray(marks, dtype=bool)
 
 
 def _pair_family(
     family_id: str,
     bound: int,
-    cands: range,
-    parts: range,
-    is_qr: QrLookup,
+    cands: np.ndarray,
+    parts: np.ndarray,
+    is_qr: np.ndarray,
     subfamily: Optional[int] = None,
 ) -> FamilyReport:
     """Run one ratio-pair family: the i-th candidate pairs with the i-th partner.
@@ -214,16 +296,29 @@ def _pair_family(
     the witness. The candidate progression sets the pair count, which must
     equal the family's closed-form floor bound.
     """
-    fam = FamilyReport(family_id, bound, subfamily=subfamily)
-    for cand, part in zip(cands, parts):
-        qa = is_qr(cand)
-        if qa == is_qr(part):
-            raise ConsistencyError(f"{family_id} pair ({cand}, {part}): not exactly one residue")
-        fam.witnesses.append(PairWitness(cand, part, cand if qa else part))
-    if len(fam.witnesses) != bound:
+    cand_qr = is_qr[cands]
+    bad = np.flatnonzero(cand_qr == is_qr[parts])
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(
+            f"{family_id} pair ({cands[i]}, {parts[i]}): not exactly one residue"
+        )
+    if len(cands) != bound:
         tag = family_id if subfamily is None else f"{family_id}[j={subfamily}]"
         raise ConsistencyError(f"{tag} pair count disagrees with its floor bound")
-    return fam
+    return FamilyReport(
+        family_id, bound, cands, parts, np.where(cand_qr, cands, parts), subfamily=subfamily
+    )
+
+
+def _progression(start: int, stop: int, step: int) -> np.ndarray:
+    return np.arange(start, stop, step, dtype=_INT)
+
+
+def _locate(starts: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Family index, and index within that family, of each generation index."""
+    owner = np.searchsorted(starts, pos, side="right") - 1
+    return owner, pos - starts[owner]
 
 
 def _site(fam: FamilyReport, i: int) -> str:
@@ -231,18 +326,10 @@ def _site(fam: FamilyReport, i: int) -> str:
     if fam.family_id == "C1_F4":
         return f"C1_F4[j={fam.subfamily},m={2 * i + 1}]"
     if fam.family_id == "C1_SPECIALS":
-        return f"C1_SPECIALS[{fam.witnesses[i].candidate}]"
+        return f"C1_SPECIALS[{fam.candidates[i]}]"
     if fam.family_id == "C2_TWO":
         return "C2_TWO"
     return f"{fam.family_id}[h={i}]"
-
-
-def _is_expected_overlap(case: str, element: int, sites: list[tuple[FamilyReport, int]]) -> bool:
-    # Case 1 discounts exactly one overlap: the element 4, produced by the
-    # first family's pair (8, 4) and by the third family's element 4.
-    if case != CASE_ONE or element != 4 or len(sites) != 2:
-        return False
-    return {fam.family_id for fam, _ in sites} == {"C1_F1", "C1_F3"}
 
 
 def _finalize(
@@ -253,48 +340,60 @@ def _finalize(
     threshold: int,
 ) -> ConstructionReport:
     """Dedup accounting, verdict and reason for an executed family system."""
-    # Every witness with a residue claims it, in generation order. First
-    # claim wins: each family is credited only with elements no earlier
-    # family already produced.
-    claims: dict[int, list[tuple[FamilyReport, int]]] = {}
-    for fam in families:
-        count = 0
-        for i, w in enumerate(fam.witnesses):
-            if w.chosen_qr is None:
-                continue
-            sites = claims.setdefault(w.chosen_qr, [])
-            if not sites:
-                count += 1
-            sites.append((fam, i))
-        fam.distinct_contribution = count
-
-    ledger = [
-        DedupEntry(
-            element,
-            tuple(_site(fam, i) for fam, i in sites),
-            _is_expected_overlap(case, element, sites),
-        )
-        for element, sites in sorted(claims.items())
-        if len(sites) > 1
-    ]
-
     if claimed_total != sum(f.claimed_bound for f in families):
         raise ConsistencyError("family bounds do not aggregate to the claimed total")
 
+    # Every witness claims its element, in generation order. A stable sort
+    # groups equal elements with their claims still in that order, so each
+    # group's head is the first claim, and first claim wins: a family is
+    # credited only with elements no earlier family already produced.
+    # Sorting element * n + index is that stable sort, and much faster than
+    # a stable argsort.
+    starts = np.cumsum([0] + [f.pairs for f in families[:-1]])
+    chosen = np.concatenate([f.chosen for f in families])
+    n = len(chosen)
+    keys = chosen.astype(np.int64) * n + np.arange(n)
+    keys.sort()
+    ranked, order = np.divmod(keys, n)
+    head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    counts = np.diff(head, append=len(ranked))
+    # Element 0 stands for the pairs without a residue; it claims nothing.
+    first_failed = int(order[0]) if ranked[0] == 0 else None
+    if first_failed is not None:
+        head, counts = head[1:], counts[1:]
+    elements = ranked[head]
+    owner, _ = _locate(starts, order[head])
+    for fam, count in zip(families, np.bincount(owner, minlength=len(families)).tolist()):
+        fam.distinct_contribution = count
+    distinct = len(elements)
+
+    dup = counts > 1
+    ledger = _Ledger(
+        families, starts, order, head[dup], counts[dup], elements[dup], np.zeros(int(dup.sum()), bool)
+    )
+    # Case 1 discounts exactly one overlap: the element 4, produced by the
+    # first family's pair (8, 4) and by the third family's element 4.
+    if case == CASE_ONE:
+        g = int(np.searchsorted(ledger.elements, 4))
+        if g < len(ledger.elements) and ledger.elements[g] == 4 and ledger.counts[g] == 2:
+            owners, _ = _locate(starts, order[ledger.head[g] : ledger.head[g] + 2])
+            ledger.expected[g] = {families[o].family_id for o in owners.tolist()} == {"C1_F1", "C1_F3"}
+    unexpected = len(ledger.elements) - int(ledger.expected.sum())
+
     # One ladder decides the verdict and, for a violation, its reason.
-    failed = next(((fam, w) for fam in families for w in fam.failed_pairs), None)
     short = next((f for f in families if f.distinct_contribution < f.claimed_bound), None)
     verdict, reason = BOUND_VIOLATION, ""
-    if failed:
-        fam, w = failed
+    if first_failed is not None:
+        owner, i = _locate(starts, first_failed)
+        fam = families[owner]
         reason = (
-            f"pair ({w.candidate}, {w.partner}) in {fam.family_id}: "
+            f"pair ({fam.candidates[i]}, {fam.partners[i]}) in {fam.family_id}: "
             f"no residue lands in [1, {(op.value - 1) // 2}]"
         )
-    elif any(not e.expected for e in ledger):
+    elif unexpected:
         verdict = DEDUP_ANOMALY
-    elif len(claims) < threshold:
-        reason = f"distinct {len(claims)} < threshold {threshold}"
+    elif distinct < threshold:
+        reason = f"distinct {distinct} < threshold {threshold}"
     elif short:
         reason = (
             f"family {short.family_id} contributed "
@@ -310,14 +409,15 @@ def _finalize(
         families=families,
         required_threshold=threshold,
         claimed_total=claimed_total,
-        distinct_qr_total=len(claims),
-        dedup_ledger=ledger,
+        distinct_qr_total=distinct,
         verdict=verdict,
         reason=reason,
+        unexpected_count=unexpected,
+        _ledger=ledger,
     )
 
 
-def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> ConstructionReport:
+def construct_case1(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> ConstructionReport:
     """Execute the Case 1 (p = 8k+3) family system and audit it.
 
     Families over A = [1, 4k+1], with 2 a non-residue:
@@ -329,113 +429,106 @@ def construct_case1(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> 
       C1_F4       pairs 3*2^j*m with 3*2^(j-1)*m for odd m, one subfamily
                   per j up to the bit length of 4k+1
       C1_SPECIALS (p-1)/2 = 4k+1 and (p-9)/2 = 4k-3, residues outright
+
+    marks (length p, nonzero at the residues) replaces the residue table,
+    so a test can inject a wrong one.
     """
     op = as_prime(p)
     if op.residue_mod_8 != 3 or op.value <= 31:
         raise DomainError(f"Case 1 requires p = 3 mod 8 and p > 31, got {op.value}")
     pv, k = op.value, op.k
     half = 4 * k + 1
-    is_qr = qr_lookup if qr_lookup is not None else _qr_predicate(op)
+    is_qr = _residue_flags(op, marks)
 
-    if is_qr(2 % pv):
+    if is_qr[2]:
         raise ConsistencyError(f"(2/{pv}) must be -1 when p = 3 mod 8")
-    if is_qr(pv - 1):
+    if is_qr[pv - 1]:
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     b1, b2, b3, b4, b_specials = case1_bounds(k)
+    c1 = _progression(2, half + 1, 6)
+    c2 = _progression(10, half + 1, 12)
     families = [
-        _pair_family("C1_F1", b1, range(2, half + 1, 6), range(1, half, 3), is_qr),
-        _pair_family("C1_F2", b2, range(10, half + 1, 12), range(5, half, 6), is_qr),
+        _pair_family("C1_F1", b1, c1, c1 // 2, is_qr),
+        _pair_family("C1_F2", b2, c2, c2 // 2, is_qr),
     ]
 
     # C1_F3's bound is one below its element count: the element 4 (h = 0)
     # always duplicates C1_F1's witness from the pair (8, 4).
-    f3 = FamilyReport("C1_F3", b3)
-    for h in range(0, (4 * k - 3) // 12 + 1):
-        x = 12 * h + 4
-        if is_qr(x):
-            f3.witnesses.append(PairWitness(x, 2 * x, x))
-        else:
-            dbl = 2 * x
-            neg = (pv - 4 * x) % pv
-            if dbl <= half:
-                chosen: Optional[int] = dbl
-            elif neg <= half:
-                chosen = neg
-            else:
-                chosen = None
-            if chosen is None:
-                f3.witnesses.append(PairWitness(x, dbl, None))
-            else:
-                if not is_qr(chosen):
-                    raise ConsistencyError(
-                        f"fallback {chosen} for non-residue {x} mod {pv} is not a residue"
-                    )
-                f3.witnesses.append(PairWitness(x, chosen, chosen))
-    families.append(f3)
-
-    f4 = [
-        _pair_family(
-            "C1_F4",
-            (half + (3 << j)) // (6 << j),
-            range(3 << j, half + 1, 6 << j),
-            range(3 << (j - 1), half, 3 << j),
-            is_qr,
-            subfamily=j,
+    x = _progression(4, half + 1, 12)
+    x_qr = is_qr[x]
+    dbl = 2 * x
+    neg = (pv - 4 * x) % pv
+    fallback = np.where(dbl <= half, dbl, np.where(neg <= half, neg, 0))
+    bad = np.flatnonzero(~x_qr & (fallback != 0) & ~is_qr[fallback])
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(
+            f"fallback {fallback[i]} for non-residue {x[i]} mod {pv} is not a residue"
         )
-        for j in range(1, half.bit_length() + 1)
-    ]
+    families.append(
+        FamilyReport(
+            "C1_F3",
+            b3,
+            x,
+            np.where(x_qr | (fallback == 0), dbl, fallback),
+            np.where(x_qr, x, fallback),
+        )
+    )
+
+    f4 = []
+    for j in range(1, half.bit_length() + 1):
+        c4 = _progression(3 << j, half + 1, 6 << j)
+        f4.append(_pair_family("C1_F4", (half + (3 << j)) // (6 << j), c4, c4 // 2, is_qr, j))
     f4_bound_sum = sum(f.claimed_bound for f in f4)
     if f4_bound_sum != b4 or f4_bound_sum != floor_half_series(Fraction(half, 6)):
         raise ConsistencyError("per-j bounds do not sum to floor((4k+1)/6)")
     families.extend(f4)
 
-    f_specials = FamilyReport("C1_SPECIALS", b_specials)
-    for s in (4 * k + 1, 4 * k - 3):
-        if not is_qr(s):
-            raise ConsistencyError(f"special element {s} must be a residue mod {pv}")
-        f_specials.witnesses.append(PairWitness(s, pv - s, s))
-    families.append(f_specials)
+    specials = np.array([4 * k + 1, 4 * k - 3], dtype=_INT)
+    missing = specials[~is_qr[specials]]
+    if missing.size:
+        raise ConsistencyError(f"special element {missing[0]} must be a residue mod {pv}")
+    families.append(FamilyReport("C1_SPECIALS", b_specials, specials, pv - specials, specials))
 
     return _finalize(op, CASE_ONE, families, 2 * k + 1, (pv + 1) // 4)
 
 
-def construct_case2(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> ConstructionReport:
+def construct_case2(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> ConstructionReport:
     """Execute the Case 2 (p = 8k+7) family system and audit it.
 
     Over A = [1, 4k+3], with 2 a residue, every odd a in A pairs with
     (p-a)/2, which lies in [2k+2, 4k+3] and has the opposite symbol.
     The four families cover odd residue classes mod 8, plus the singleton
-    family {2}.
+    family {2}. marks works as in construct_case1.
     """
     op = as_prime(p)
     if op.residue_mod_8 != 7 or op.value <= 31:
         raise DomainError(f"Case 2 requires p = 7 mod 8 and p > 31, got {op.value}")
     pv, k = op.value, op.k
     half = 4 * k + 3
-    is_qr = qr_lookup if qr_lookup is not None else _qr_predicate(op)
+    is_qr = _residue_flags(op, marks)
 
-    if not is_qr(2 % pv):
+    if not is_qr[2]:
         raise ConsistencyError(f"(2/{pv}) must be +1 when p = 7 mod 8")
-    if is_qr(pv - 1):
+    if is_qr[pv - 1]:
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     b1, b2, b3, b4, b_two = case2_bounds(k)
-    # Rule r pairs the odd a = r mod 8 in A with (p-a)/2, stepping down by 4.
+    # Rule r pairs the odd a = r mod 8 in A with (p-a)/2.
     rules = (
         ("C2_F3MOD8", 3, b1),
         ("C2_F7MOD8", 7, b2),
         ("C2_F1MOD8", 1, b3),
         ("C2_F5MOD8", 5, b4),
     )
-    families = [
-        _pair_family(family_id, bound, range(r, half + 1, 8), range((pv - r) // 2, 0, -4), is_qr)
-        for family_id, r, bound in rules
-    ]
+    families = []
+    for family_id, r, bound in rules:
+        cands = _progression(r, half + 1, 8)
+        families.append(_pair_family(family_id, bound, cands, (pv - cands) // 2, is_qr))
 
-    f_two = FamilyReport("C2_TWO", b_two)
-    f_two.witnesses.append(PairWitness(2, pv - 2, 2))
-    families.append(f_two)
+    two = np.array([2], dtype=_INT)
+    families.append(FamilyReport("C2_TWO", b_two, two, pv - two, two))
 
     return _finalize(op, CASE_TWO, families, 2 * k + 3, (pv + 1) // 4)
 
@@ -464,18 +557,17 @@ def verify_small_regime(p: int | OddPrime) -> ConstructionReport:
         required_threshold=threshold,
         claimed_total=0,
         distinct_qr_total=rec.qr_count,
-        dedup_ledger=[],
         verdict=VERIFIED if rec.a_value > 0 else BOUND_VIOLATION,
         reason="" if rec.a_value > 0 else f"distinct {rec.qr_count} < threshold {threshold}",
     )
 
 
-def build_report(p: int | OddPrime, qr_lookup: Optional[QrLookup] = None) -> ConstructionReport:
+def build_report(p: int | OddPrime) -> ConstructionReport:
     """Dispatch to the right constructor for any prime p = 3 mod 4."""
     op = as_prime(p)
     case = classify_case(op)
     if case == SMALL_REGIME:
         return verify_small_regime(op)
     if case == CASE_ONE:
-        return construct_case1(op, qr_lookup)
-    return construct_case2(op, qr_lookup)
+        return construct_case1(op)
+    return construct_case2(op)

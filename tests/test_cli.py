@@ -12,7 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from halfsum import charsum, cli
+from halfsum import charsum, cli, construction
 from halfsum.cli import main
 
 
@@ -276,6 +276,39 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--from", "3", "--to", "400", "--jobs", "2")
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+    def test_sweep_reads_only_what_it_prints(self, capsys, monkeypatch):
+        # A sweep prints counts, one reason and at most three ledger entries
+        # per prime, so it builds no witness and no other ledger entry.
+        built = {"PairWitness": 0, "DedupEntry": 0}
+
+        def counting(cls):
+            def make(*args):
+                built[cls.__name__] += 1
+                return cls(*args)
+
+            return make
+
+        for cls in (construction.PairWitness, construction.DedupEntry):
+            monkeypatch.setattr(construction, cls.__name__, counting(cls))
+        code, out, _ = run(capsys, "verify", "--from", "21000", "--to", "21400")
+        assert code == 1 and "23 primes" in out
+        assert built == {"PairWitness": 0, "DedupEntry": 3 * 23}
+
+    def test_construction_limit_exits_2(self, capsys, monkeypatch):
+        # The audit allocates per pair: a prime past the construction limit
+        # stops construct and verify before any family runs, while the
+        # sieve-only sweep still checks it.
+        monkeypatch.setattr(construction, "_CONSTRUCT_LIMIT", 100)
+        for argv in (("construct", "107"), ("verify", "--from", "107", "--to", "107")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "construction limit" in err
+        code, out, _ = run(
+            capsys, "verify", "--from", "107", "--to", "107", "--fast", "100", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["107,Case1,9,0,0,SieveOnly"]
 
     def test_wall_time_on_stderr_not_stdout(self, capsys):
         _, out, err = run(capsys, "verify", "--from", "3", "--to", "20")

@@ -10,6 +10,7 @@ DedupAnomaly rather than Verified. The first outright pair failure
 (no residue of the pair inside the half interval) occurs at p = 107.
 """
 
+import numpy as np
 import pytest
 
 import oracles
@@ -191,24 +192,39 @@ def _engine_claims(report):
     return claims, fails
 
 
+def _assert_matches_simulator(p):
+    sim = oracles.construction_sim(p)
+    report = build_report(p)
+    claims, fails = _engine_claims(report)
+    assert claims == sim["claims"], p
+    assert fails == sim["fails"], p
+    assert report.distinct_qr_total == sim["distinct"], p
+    assert report.claimed_total == sim["claimed"], p
+    assert report.required_threshold == sim["threshold"], p
+    engine_dups = {
+        e.element: len(e.sites) for e in report.unexpected_duplicates
+    }
+    sim_dups = {e: len(s) for e, s in sim["unsanctioned_dups"].items()}
+    assert engine_dups == sim_dups, p
+    return report
+
+
 class TestOracleEquivalence:
     def test_engine_matches_simulator(self, primes_3mod4_to_1500):
         for p in primes_3mod4_to_1500:
-            if p <= 31:
-                continue
-            sim = oracles.construction_sim(p)
-            report = build_report(p)
-            claims, fails = _engine_claims(report)
-            assert claims == sim["claims"], p
-            assert fails == sim["fails"], p
-            assert report.distinct_qr_total == sim["distinct"], p
-            assert report.claimed_total == sim["claimed"], p
-            assert report.required_threshold == sim["threshold"], p
-            engine_dups = {
-                e.element: len(e.sites) for e in report.unexpected_duplicates
-            }
-            sim_dups = {e: len(s) for e, s in sim["unsanctioned_dups"].items()}
-            assert engine_dups == sim_dups, p
+            if p > 31:
+                _assert_matches_simulator(p)
+
+    # Case 1 and Case 2 primes near 2*10^4 and 10^5, where each ledger holds
+    # over a thousand entries. Every Case 1 prime here is a BoundViolation
+    # with C1_F3 pairs that have no residue in the half interval.
+    @pytest.mark.parametrize("p", [20011, 20023, 20047, 20051, 99871, 99907, 99971, 99991])
+    def test_engine_matches_simulator_large(self, p):
+        report = _assert_matches_simulator(p)
+        assert len(report.unexpected_duplicates) > 1000
+        if report.case == CASE_ONE:
+            assert report.verdict == BOUND_VIOLATION
+            assert {f.family_id for f in report.families if f.failed_pairs} == {"C1_F3"}
 
 
 @pytest.fixture(scope="module")
@@ -319,10 +335,12 @@ class TestStructuralInvariants:
 class TestConsistencyGuards:
     def test_broken_lookup_detected(self):
         with pytest.raises(ConsistencyError):
-            construct_case1(43, qr_lookup=lambda a: True)
+            construct_case1(43, marks=np.ones(43, dtype=np.uint8))
         with pytest.raises(ConsistencyError):
-            construct_case2(47, qr_lookup=lambda a: False)
-        # A lookup that flips one pair member's answer breaks exactly-one.
-        qrs = oracles.qr_set(43)
+            construct_case2(47, marks=np.zeros(47, dtype=np.uint8))
+        # The true table with one pair member's mark flipped breaks exactly-one.
+        marks = np.zeros(43, dtype=np.uint8)
+        marks[sorted(oracles.qr_set(43))] = 1
+        marks[8] ^= 1
         with pytest.raises(ConsistencyError):
-            construct_case1(43, qr_lookup=lambda a: a in qrs or a == 8)
+            construct_case1(43, marks=marks)

@@ -6,7 +6,8 @@ exit code, with values recorded from earlier implementations: the
 construction and verify CSV cases from the hand-written family loops,
 the identity and classnum cases from the search over (a, b) for reduced
 forms, the verify text and JSON cases and asum from the code that worked
-out each BoundViolation's reason apart from its verdict. They cover what
+out each BoundViolation's reason apart from its verdict, the verify
+cases near 2*10^4 from the per-element construction. They cover what
 the structural tests do not: the dedup ledger's site strings, the
 violation reasons, the empty C1_F4 subfamilies in the JSON, and the text
 report as a whole. A refactor must leave every digest unchanged. To see
@@ -60,6 +61,21 @@ GOLDEN = [
         1,
         69624,
         "aa85cdf4afb801bee27dddf9dbad66e4510a12d7f26e68f9390d75d5e87a2b2b",
+    ),
+    # The audit_band region: large ledgers, so every anomaly excerpt ends
+    # "and N more".
+    (("verify", "--from", "21000", "--to", "21400"), 1, 4633, "3fa3e49c1d2693404c65247c4bdf6f918cef3e33f999a948df5d3cb5a99b8200"),
+    (
+        ("verify", "--from", "21000", "--to", "21400", "--strict"),
+        1,
+        8677,
+        "292e6ce9df1932866ebbca7dd6ee8a43ecce959cfc8a72066793b70b072279fd",
+    ),
+    (
+        ("verify", "--from", "21000", "--to", "21400", "--format", "csv", "--jobs", "2"),
+        1,
+        947,
+        "5af47cd651909a0ae9ee5300943c9fabd2c05ca50c952dfd58f5f122d773d4f9",
     ),
     (("asum", "10007", "--json"), 0, 97, "e9ba7d200622084e61fd7f1ca8b9357e7ab46d556e37dca10f1002d41bb4f510"),
     # The class-number identity up to 3000 and near 10^6,
