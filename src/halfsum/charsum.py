@@ -5,22 +5,36 @@ a direct symbol-by-symbol sum, and an O(p) squares count that exploits the
 fact that x^2 mod p for x = 1 .. (p-1)/2 hits every quadratic residue
 exactly once. The squares also give the residue table, the residue sum
 behind the class number, and the signs of the L(1, chi) partial sum.
+
+Every squares pass runs one exact float64 kernel, _squares_mod, on blocks
+x = x0 + i with 0 <= i < 2^15. There x^2 = c0 + (c1 + i)*i (mod p) with
+c0 = x0^2 mod p and c1 = 2*x0 mod p taken in Python integers, so each
+value is an integer below 2^47 and exact in float64. It is reduced as
+v - floor(v * r)*p, where r is 1/p rounded up by two ulps: v * r then
+never falls below v/p and stays less than 1/p above it, so the floor is
+exact for every v < 2^50 (Barrett 1986; Lemire, Kaser and Kurz, "Faster
+remainder by direct computation", 2019) and no fix-up step is needed.
+Each command makes one pass per prime: the half-interval count and the
+residue sum share the blocks of one pass, and the residue marks, once
+built, also give the count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .arith import OddPrime, as_prime, legendre_euler
 from .errors import ConsistencyError, ResourceLimitError
 
-# Block length for vectorised passes over 1 .. n.
-_BLOCK = 1 << 19
+# Block length of the squares kernel: i < 2^15 keeps c0 + (c1 + i)*i below 2^47.
+_BLOCK = 1 << 15
+_I = np.arange(_BLOCK, dtype=np.float64)
 
-# x <= p/2 must keep x*x inside int64, so _squares_mod accepts p < 2^31.
+# c0 and c1 are below p, so every kernel value stays below 2^47 for p < 2^31.
 _SIEVE_LIMIT = 1 << 31
 
 # Full tables allocate p bytes; _qr_marks caps p to bound single-prime calls.
@@ -29,13 +43,19 @@ _TABLE_LIMIT = 1 << 28
 
 @dataclass(frozen=True)
 class HalfSumRecord:
-    """Counts over the half interval [1, (p-1)/2] for one odd prime."""
+    """Counts over the half interval [1, (p-1)/2] for one odd prime.
+
+    residue_sum, the sum of all quadratic residues in [1, p-1], is filled
+    by the sieve, whose squares pass meets every residue once; the direct
+    method leaves it None.
+    """
 
     p: int
     qr_count: int
     nqr_count: int
     a_value: int
     method: str
+    residue_sum: Optional[int] = None
 
     def __post_init__(self):
         half = (self.p - 1) // 2
@@ -45,23 +65,42 @@ class HalfSumRecord:
             raise ConsistencyError("a_value does not match the counts")
 
 
-def _blocks(stop: int) -> Iterator[np.ndarray]:
-    """1 .. stop as int64 blocks of at most _BLOCK elements."""
-    for start in range(1, stop + 1, _BLOCK):
-        yield np.arange(start, min(start + _BLOCK, stop + 1), dtype=np.int64)
+def _square_block(pv: int, x0: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x^2 mod p for x = x0 .. x0 + len(v) - 1, written into v as float64.
+
+    q is scratch of the same length, and len(v) <= _BLOCK. Exact for every
+    p < _SIEVE_LIMIT and x0 >= 0 (see the module docstring).
+    """
+    n = len(v)
+    r = math.nextafter(math.nextafter(1.0 / pv, 1.0), 1.0)
+    i = _I[:n]
+    np.add(i, float(2 * x0 % pv), out=v)
+    v *= i
+    v += float(x0 * x0 % pv)
+    np.multiply(v, r, out=q)
+    np.floor(q, out=q)
+    q *= pv
+    v -= q
+    return v
 
 
 def _squares_mod(pv: int) -> Iterator[np.ndarray]:
-    """x^2 mod p for x = 1 .. (p-1)/2, as int64 blocks of at most _BLOCK."""
+    """x^2 mod p for x = 1 .. (p-1)/2, as float64 blocks of at most _BLOCK.
+
+    Every block is written into the same buffer, so use each one before
+    asking for the next.
+    """
     if pv >= _SIEVE_LIMIT:
         raise ResourceLimitError(
             f"p = {pv} exceeds the sieve limit {_SIEVE_LIMIT}; "
-            "squares would overflow the vectorised 64-bit path"
+            "the exact float64 squares kernel needs p < 2^31"
         )
-    for x in _blocks((pv - 1) // 2):
-        np.multiply(x, x, out=x)
-        np.mod(x, pv, out=x)
-        yield x
+    half = (pv - 1) // 2
+    v = np.empty(min(half, _BLOCK))
+    q = np.empty_like(v)
+    for x0 in range(1, half + 1, _BLOCK):
+        n = min(_BLOCK, half + 1 - x0)
+        yield _square_block(pv, x0, v[:n], q[:n])
 
 
 def half_sum_direct(p: int | OddPrime) -> HalfSumRecord:
@@ -76,16 +115,23 @@ def half_sum_direct(p: int | OddPrime) -> HalfSumRecord:
     return HalfSumRecord(pv, qr, half - qr, 2 * qr - half, "direct")
 
 
-def half_sum_sieve(p: int | OddPrime) -> HalfSumRecord:
+def half_sum_sieve(p: int | OddPrime, *, sum_residues: bool = False) -> HalfSumRecord:
     """A(p) by counting squares that land in the half interval; O(p).
 
     The squares x^2 mod p for x = 1 .. (p-1)/2 are pairwise distinct, so
     counting those <= (p-1)/2 equals counting marked cells of a bit array.
+    With sum_residues the same pass also totals the squares, which are all
+    the residues, into residue_sum (exact: a block sum stays below 2^46).
     """
     pv = as_prime(p).value
     half = (pv - 1) // 2
-    qr = sum(int(np.count_nonzero(x <= half)) for x in _squares_mod(pv))
-    return HalfSumRecord(pv, qr, half - qr, 2 * qr - half, "sieve")
+    qr = 0
+    total = 0 if sum_residues else None
+    for x in _squares_mod(pv):
+        qr += int(np.count_nonzero(x <= half))
+        if sum_residues:
+            total += int(x.sum())
+    return HalfSumRecord(pv, qr, half - qr, 2 * qr - half, "sieve", total)
 
 
 def full_sum(p: int | OddPrime) -> int:
@@ -105,7 +151,7 @@ def _qr_marks(pv: int) -> np.ndarray:
         raise ResourceLimitError(f"p = {pv} exceeds the table limit {_TABLE_LIMIT}")
     marks = np.zeros(pv, dtype=np.uint8)
     for x in _squares_mod(pv):
-        marks[x] = 1
+        marks[x.astype(np.intp)] = 1
     return marks
 
 
@@ -121,8 +167,9 @@ def qr_table(p: int | OddPrime) -> bytes:
 def qr_value_sum(p: int | OddPrime) -> int:
     """Exact sum of all quadratic residues in [1, p-1].
 
-    Accumulated in Python integers from int64 block sums; each block sum
-    stays below 2^50 so nothing overflows.
+    Accumulated in Python integers from float64 block sums of the squares
+    kernel; a block holds at most 2^15 values below 2^31, so each block
+    sum is an integer below 2^46 and exact in any summation order.
     """
     return sum(int(x.sum()) for x in _squares_mod(as_prime(p).value))
 
@@ -130,15 +177,29 @@ def qr_value_sum(p: int | OddPrime) -> int:
 def l_series_partial(p: int | OddPrime, terms: int) -> float:
     """Partial sum of L(1, chi) = sum of (n/p)/n for n = 1 .. terms.
 
-    The symbols are read, periodically in n, from one length-p int8 table
-    of signs; the series itself is summed in blocks of float64 terms.
+    The symbols have period p, so n = k*p + r is summed one period at a
+    time: signs[r] / (r + k*p) over a stretch of r, with no gather. Below
+    _BLOCK residues a stretch is the whole period and several periods go
+    in one grid of at most _BLOCK terms, so small p does not pay a Python
+    step per period.
     """
     pv = as_prime(p).value
-    signs = _qr_marks(pv).view(np.int8)
-    signs *= 2
-    signs -= 1
-    signs[0] = 0
+    marks = _qr_marks(pv)
+    width = min(pv, _BLOCK)
+    rows = max(1, _BLOCK // width)
     total = 0.0
-    for n in _blocks(terms):
-        total += float(np.sum(signs[n % pv] / n))
+    for lo in range(0, pv, width):
+        hi = min(lo + width, pv)
+        signs = marks[lo:hi] * 2.0 - 1.0
+        r = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0:
+            # (0/p) = 0, so every n = k*p adds nothing; r = 1 only keeps
+            # n = 0 out of the divisor.
+            signs[0], r[0] = 0.0, 1.0
+        last = (terms - lo) // pv  # the last period k with k*p + lo <= terms
+        for k0 in range(0, last + 1, rows):
+            k = np.arange(k0, min(k0 + rows, last + 1), dtype=np.float64)
+            n = r + (k * pv)[:, None]
+            inside = n <= terms if k0 + rows > last else True
+            total += float(np.sum(signs / n, where=inside))
     return total

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isqrt
+from typing import Optional
 
 from .arith import OddPrime, as_prime, legendre_euler
 from .charsum import half_sum_sieve, l_series_partial, qr_value_sum
@@ -121,8 +122,12 @@ def class_number_character_sum(p: int | OddPrime) -> int:
     quadratic residues in [1, p-1]; the division by p must be exact.
     """
     op = _require_3mod4(p)
-    pv = op.value
-    signed = 2 * qr_value_sum(op) - pv * (pv - 1) // 2
+    return _h_from_residue_sum(op.value, qr_value_sum(op))
+
+
+def _h_from_residue_sum(pv: int, residue_sum: int) -> int:
+    """h(-p) from S, the sum of all quadratic residues in [1, p-1]."""
+    signed = 2 * residue_sum - pv * (pv - 1) // 2
     h, rem = divmod(-signed, pv)
     if rem != 0:
         raise ConsistencyError(f"character sum {signed} is not divisible by {pv}")
@@ -134,32 +139,44 @@ def class_number_character_sum(p: int | OddPrime) -> int:
 def identity_check(p: int | OddPrime) -> ClassNumberRecord:
     """Check A(p) = (2 - (2/p)) * h(-p) with h computed both ways.
 
-    A mismatch is returned in the record, never raised, so callers can
-    report both sides.
+    A(p) and the residue sum behind the character-sum h come from one
+    squares pass. A mismatch is returned in the record, never raised, so
+    callers can report both sides.
     """
     op = _require_3mod4(p)
     h_forms = reduced_forms_count(op)
-    h_chs = class_number_character_sum(op)
-    a_value = half_sum_sieve(op).a_value
+    rec = half_sum_sieve(op, sum_residues=True)
+    h_chs = _h_from_residue_sum(op.value, rec.residue_sum)
     rhs = (2 - legendre_euler(2, op)) * h_forms
-    return ClassNumberRecord(op.value, h_forms, h_chs, a_value, rhs)
+    return ClassNumberRecord(op.value, h_forms, h_chs, rec.a_value, rhs)
 
 
-def l_value_estimate(p: int | OddPrime, terms: int) -> LFunctionRecord:
+def l_value_estimate(
+    p: int | OddPrime,
+    terms: int,
+    *,
+    h: Optional[int] = None,
+    a_value: Optional[int] = None,
+) -> LFunctionRecord:
     """Estimate L(1, chi) by a truncated series against pi*h/sqrt(p).
 
     Also verifies the exact wiring A(p) = (sqrt(p)/pi)*(2-(2/p))*l_exact
     to within 1e-9; a larger residual means a plumbing bug, and raises.
+    h (the character-sum class number) and a_value (A(p)) are computed
+    here unless a caller that already has them, such as identity_check's
+    record, passes them on.
     """
     op = _require_3mod4(p)
     pv = op.value
     if terms < pv:
         raise DomainError(f"terms must be >= p = {pv}, got {terms}")
-    h = class_number_character_sum(op)
+    if h is None:
+        h = class_number_character_sum(op)
+    if a_value is None:
+        a_value = half_sum_sieve(op).a_value
     l_exact = math.pi * h / math.sqrt(pv)
     l_partial = l_series_partial(op, terms)
 
-    a_value = half_sum_sieve(op).a_value
     wired = math.sqrt(pv) / math.pi * (2 - legendre_euler(2, op)) * l_exact
     residual = abs(a_value - wired)
     if residual >= 1e-9:

@@ -32,6 +32,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator, NamedTuple, Optional, TextIO
 
+import numpy as np
+
 from . import __version__
 from .arith import OddPrime, legendre_euler, legendre_reciprocity
 from .charsum import half_sum_direct, half_sum_sieve
@@ -50,6 +52,7 @@ from .construction import (
     VERIFIED,
     build_report,
     classify_case,
+    residue_flags,
 )
 from .errors import DomainError, ResourceLimitError
 from .floorlemma import floor_half_series
@@ -86,24 +89,31 @@ class RangeSummary:
 
 
 def _check_prime(p: int, fast_bound: Optional[int]):
-    """Verify one prime: independent sieve check plus construction audit.
+    """Verify one prime: the A(p) > 0 check plus the construction audit.
 
     Returns (row, violations, anomaly) where anomaly is None or a
     (p, ledger excerpt) pair. Above fast_bound the construction audit is
-    skipped and the row verdict is SieveOnly. The prime is validated once
-    here and passed on validated.
+    skipped, A(p) comes from the sieve and the row verdict is SieveOnly.
+    The prime is validated once here and passed on validated, and its
+    residues are squared once either way.
     """
     op = OddPrime(p)
-    rec = half_sum_sieve(op)
+    sieve_only = fast_bound is not None and p > fast_bound
+    if sieve_only:
+        a_value = half_sum_sieve(op).a_value
+    else:
+        is_qr = residue_flags(op)
+        half = (p - 1) // 2
+        a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
     violations: list[tuple[int, str, str]] = []
-    if rec.a_value <= 0:
-        violations.append((p, "TheoremViolation", f"A({p}) = {rec.a_value} <= 0"))
+    if a_value <= 0:
+        violations.append((p, "TheoremViolation", f"A({p}) = {a_value} <= 0"))
 
-    if fast_bound is not None and p > fast_bound:
-        row = RangeRow(p, classify_case(op), rec.a_value, 0, 0, "SieveOnly")
+    if sieve_only:
+        row = RangeRow(p, classify_case(op), a_value, 0, 0, "SieveOnly")
         return row, violations, None
 
-    report = build_report(op)
+    report = build_report(op, is_qr)
     if report.verdict == BOUND_VIOLATION:
         violations.append((p, BOUND_VIOLATION, report.reason))
     anomaly = None
@@ -112,7 +122,7 @@ def _check_prime(p: int, fast_bound: Optional[int]):
     row = RangeRow(
         p,
         report.case,
-        rec.a_value,
+        a_value,
         report.claimed_total,
         report.distinct_qr_total,
         report.verdict,
@@ -364,7 +374,7 @@ def cmd_identity(args) -> int:
             )
         if args.l_check:
             terms = max(args.l_terms or 100 * p, p)
-            lrec = l_value_estimate(op, terms)
+            lrec = l_value_estimate(op, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
             if not lrec.within_tolerance:
                 failures += 1
                 print(

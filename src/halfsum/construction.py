@@ -271,8 +271,12 @@ def case2_bounds(k: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def _residue_flags(op: OddPrime, marks: Optional[np.ndarray]) -> np.ndarray:
-    """Boolean residue flags on [0, p), from marks or from charsum._qr_marks."""
+def residue_flags(op: OddPrime, marks: Optional[np.ndarray] = None) -> np.ndarray:
+    """Boolean residue flags on [0, p), from marks or from charsum._qr_marks.
+
+    Refuses p above _CONSTRUCT_LIMIT before any table is built, so a caller
+    that wants the flags for an audit gets them under the audit's cap.
+    """
     if op.value > _CONSTRUCT_LIMIT:
         raise ResourceLimitError(
             f"p = {op.value} exceeds the construction limit {_CONSTRUCT_LIMIT}"
@@ -430,15 +434,16 @@ def construct_case1(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
                   per j up to the bit length of 4k+1
       C1_SPECIALS (p-1)/2 = 4k+1 and (p-9)/2 = 4k-3, residues outright
 
-    marks (length p, nonzero at the residues) replaces the residue table,
-    so a test can inject a wrong one.
+    marks (length p, nonzero at the residues) replaces the residue table:
+    verify passes the flags it has already built, and a test can inject a
+    wrong one.
     """
     op = as_prime(p)
     if op.residue_mod_8 != 3 or op.value <= 31:
         raise DomainError(f"Case 1 requires p = 3 mod 8 and p > 31, got {op.value}")
     pv, k = op.value, op.k
     half = 4 * k + 1
-    is_qr = _residue_flags(op, marks)
+    is_qr = residue_flags(op, marks)
 
     if is_qr[2]:
         raise ConsistencyError(f"(2/{pv}) must be -1 when p = 3 mod 8")
@@ -507,7 +512,7 @@ def construct_case2(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
         raise DomainError(f"Case 2 requires p = 7 mod 8 and p > 31, got {op.value}")
     pv, k = op.value, op.k
     half = 4 * k + 3
-    is_qr = _residue_flags(op, marks)
+    is_qr = residue_flags(op, marks)
 
     if not is_qr[2]:
         raise ConsistencyError(f"(2/{pv}) must be +1 when p = 7 mod 8")
@@ -562,12 +567,16 @@ def verify_small_regime(p: int | OddPrime) -> ConstructionReport:
     )
 
 
-def build_report(p: int | OddPrime) -> ConstructionReport:
-    """Dispatch to the right constructor for any prime p = 3 mod 4."""
+def build_report(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> ConstructionReport:
+    """Dispatch to the right constructor for any prime p = 3 mod 4.
+
+    marks, when given, are the residue marks or flags the caller already
+    holds (see residue_flags); the small regime does not read them.
+    """
     op = as_prime(p)
     case = classify_case(op)
     if case == SMALL_REGIME:
         return verify_small_regime(op)
     if case == CASE_ONE:
-        return construct_case1(op)
-    return construct_case2(op)
+        return construct_case1(op, marks)
+    return construct_case2(op, marks)

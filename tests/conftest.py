@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from halfsum import arith
+from halfsum import arith, charsum
 
 
 @pytest.fixture(scope="session")
@@ -33,4 +33,22 @@ def is_prime_calls(monkeypatch):
         return original(n)
 
     monkeypatch.setattr(arith, "is_prime", counted)
+    return calls
+
+
+@pytest.fixture
+def squares_passes(monkeypatch):
+    """p of every squares pass (charsum._squares_mod call) made during the test.
+
+    Every sieve, residue table and residue sum squares the half interval
+    through that one kernel, so the list records each pass over a prime.
+    """
+    calls = []
+    original = charsum._squares_mod
+
+    def counted(pv):
+        calls.append(pv)
+        return original(pv)
+
+    monkeypatch.setattr(charsum, "_squares_mod", counted)
     return calls

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from halfsum import charsum
@@ -150,3 +153,58 @@ class TestLimits:
         for fn in (qr_table, full_sum, lambda p: l_series_partial(p, 1000)):
             with pytest.raises(ResourceLimitError):
                 fn(101)
+
+
+def _kernel_block(p, x0, n):
+    """The kernel's squares for x = x0 .. x0 + n - 1, as Python ints."""
+    return [int(v) for v in charsum._square_block(p, x0, np.empty(n), np.empty(n))]
+
+
+def _python_block(p, x0, n):
+    return [x * x % p for x in range(x0, x0 + n)]
+
+
+class TestSquaresKernel:
+    # Each block is checked on its own, so no test builds a table of size p.
+
+    @pytest.mark.parametrize("p", [2147483647, 2146483663])
+    def test_first_middle_and_last_block_below_the_sieve_limit(self, p):
+        # 2^31 - 1 is the largest prime the kernel accepts.
+        assert p < charsum._SIEVE_LIMIT and oracles.is_prime_trial(p)
+        half, block = (p - 1) // 2, charsum._BLOCK
+        last = (half - 1) // block
+        for x0 in (1, 1 + (last // 2) * block, 1 + last * block):
+            n = min(block, half + 1 - x0)
+            assert _kernel_block(p, x0, n) == _python_block(p, x0, n)
+        assert x0 + n - 1 == half
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=charsum._SIEVE_LIMIT - 1),
+        where=st.floats(min_value=0, max_value=1),
+    )
+    def test_random_primes_and_block_starts(self, n, where):
+        p = n
+        while not oracles.is_prime_trial(p):
+            p -= 1
+        half = (p - 1) // 2
+        x0 = 1 + int(where * (half - 1))
+        count = min(charsum._BLOCK, half + 1 - x0)
+        assert _kernel_block(p, x0, count) == _python_block(p, x0, count)
+
+    def test_multiples_of_p_reduce_to_zero(self):
+        # The reciprocal is rounded up, so even v = 0 (mod p) needs no fix-up.
+        # From x0 = 0 a block passes x = 0, p, 2p, ...; with 1/p rounded to
+        # nearest, 60 of the primes below 3000 would leave some v = k*p at p.
+        x = np.arange(charsum._BLOCK, dtype=np.int64)
+        for p in oracles.primes_trial(3, 3000):
+            got = charsum._square_block(p, 0, np.empty(x.size), np.empty(x.size))
+            assert np.array_equal(got, x * x % p), p
+        for p in (1000003, 2147483647):
+            assert _kernel_block(p, 5 * p - 3, 7) == _python_block(p, 5 * p - 3, 7)
+
+    def test_blocks_cover_the_half_interval_in_order(self, monkeypatch):
+        monkeypatch.setattr(charsum, "_BLOCK", 5)
+        p = 103
+        got = [int(v) for x in charsum._squares_mod(p) for v in x]
+        assert got == _python_block(p, 1, (p - 1) // 2)

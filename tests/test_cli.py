@@ -8,10 +8,12 @@ failed verification, 2 usage error.
 import csv
 import io
 import json
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import oracles
 from halfsum import charsum, cli, construction
 from halfsum.cli import main
 
@@ -401,6 +403,28 @@ class TestIdentity:
         code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "table limit" in err
+
+
+class TestOnePassPerPrime:
+    # A(p), the residue table, the residue sum and the L-series signs all
+    # come from squaring the half interval; each command squares it once
+    # per prime, and --l-check adds only the pass for its sign table.
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (("verify", "--from", "21000", "--to", "21400"), 1),
+            (("verify", "--from", "3", "--to", "3000", "--fast", "1000", "--format", "csv"), 1),
+            (("identity", "--from", "5", "--to", "3000"), 1),
+            (("identity", "--from", "5", "--to", "300", "--l-check"), 2),
+        ],
+        ids=["verify-audit", "verify-fast", "identity", "identity-l-check"],
+    )
+    def test_squares_passes_per_prime(self, capsys, squares_passes, argv, passes):
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        primes = oracles.primes_trial(int(argv[2]), int(argv[4]), 3, 4)
+        assert Counter(squares_passes) == Counter(passes * primes)
 
 
 class TestLemma:
