@@ -208,3 +208,13 @@ class TestSquaresKernel:
         p = 103
         got = [int(v) for x in charsum._squares_mod(p) for v in x]
         assert got == _python_block(p, 1, (p - 1) // 2)
+
+    def test_buffers_start_on_64_byte_boundaries(self):
+        # Where the heap puts them must not decide the kernel's speed.
+        assert charsum._I.ctypes.data % 64 == 0
+        for p in (103, 1000003):
+            for x in charsum._squares_mod(p):
+                assert x.ctypes.data % 64 == 0
+        for n in range(1, 20):
+            buf = charsum._aligned_empty(n)
+            assert buf.shape == (n,) and buf.dtype == np.float64 and buf.ctypes.data % 64 == 0
