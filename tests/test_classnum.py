@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from halfsum import classnum
 from halfsum.classnum import (
     ReducedForm,
     class_number_character_sum,
@@ -13,7 +16,7 @@ from halfsum.classnum import (
     reduced_forms,
     reduced_forms_count,
 )
-from halfsum.errors import DomainError
+from halfsum.errors import DomainError, ResourceLimitError
 
 
 class TestReducedForms:
@@ -43,6 +46,50 @@ class TestReducedForms:
             got = [(f.a, f.b, f.c) for f in reduced_forms(p)]
             assert got == oracles.forms_brute(p), p
 
+    def test_blocks_split_between_values_of_b(self, monkeypatch):
+        # Blocks of 7 trial divisors: some hold several b, and a b with more
+        # divisors than that gets a block of its own.
+        monkeypatch.setattr(classnum, "_BLOCK", 7)
+        for p in oracles.primes_trial(7, 600, 3, 4):
+            got = [(f.a, f.b, f.c) for f in reduced_forms(p)]
+            assert got == oracles.forms_brute(p), p
+
+    def test_count_builds_no_form(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return ReducedForm(*args)
+
+        monkeypatch.setattr(classnum, "ReducedForm", counting)
+        assert reduced_forms_count(1000003) == 105
+        assert built == []
+        assert len(list(reduced_forms(1000003))) == 105
+        assert len(built) == 105
+
+    def test_count_is_the_length_of_the_module_level_enumeration(self, monkeypatch):
+        # perfbench counts h by wrapping classnum.reduced_forms and taking
+        # len of its result; reduced_forms_count must go through that name.
+        results = []
+        original = classnum.reduced_forms
+
+        def recorded(p):
+            results.append(original(p))
+            return results[-1]
+
+        monkeypatch.setattr(classnum, "reduced_forms", recorded)
+        assert reduced_forms_count(1000003) == 105
+        assert [len(r) for r in results] == [105]
+
+    def test_largest_prime_below_the_limit(self):
+        assert reduced_forms_count(2147483647) == 19865
+
+    def test_limit_matches_the_character_sum(self):
+        # 2147483659 is the first prime = 3 mod 4 past 2^31.
+        for method in (reduced_forms, reduced_forms_count, class_number_character_sum):
+            with pytest.raises(ResourceLimitError):
+                method(2147483659)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             reduced_forms_count(3)
@@ -66,6 +113,14 @@ class TestCharacterSum:
         above_a_million = oracles.primes_trial(1_000_000, 1_000_200, 3, 4)
         for p in oracles.primes_trial(7, 1000, 3, 4) + above_a_million:
             assert reduced_forms_count(p) == class_number_character_sum(p), p
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=7, max_value=2 * 10**6))
+    def test_methods_agree_on_random_primes(self, n):
+        p = n - (n + 1) % 4
+        while not oracles.is_prime_trial(p):
+            p -= 4
+        assert reduced_forms_count(p) == class_number_character_sum(p), p
 
     def test_domain(self):
         with pytest.raises(DomainError):

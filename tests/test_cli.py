@@ -368,6 +368,14 @@ class TestClassnum:
         assert run(capsys, "classnum", "13")[0] == 2
         assert run(capsys, "classnum", "15")[0] == 2
 
+    def test_past_the_class_number_limit(self, capsys):
+        # Counting forms at p ~ 10^12 would take hours; every method stops
+        # at once.
+        for method in ("forms", "both", "charsum"):
+            code, out, err = run(capsys, "classnum", "1000000000039", "--method", method)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "limit" in err
+
 
 class TestIdentity:
     def test_range_passes(self, capsys):
@@ -395,6 +403,13 @@ class TestIdentity:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert "--l-terms" in err
+
+    def test_past_the_class_number_limit(self, capsys):
+        code, out, err = run(
+            capsys, "identity", "--from", "1000000000000", "--to", "1000000000100"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "class-number limit" in err
 
     def test_l_check_past_table_limit(self, capsys, monkeypatch):
         # The L-series signs come from a p-byte table: a prime past the table
