@@ -123,6 +123,8 @@ def half_sum_direct(p: int | OddPrime) -> HalfSumRecord:
     """A(p) by summing Legendre symbols for a = 1 .. (p-1)/2; O(p log p)."""
     op = as_prime(p)
     pv = op.value
+    if pv >= _SIEVE_LIMIT:
+        raise ResourceLimitError(f"p = {pv} exceeds the sieve limit {_SIEVE_LIMIT}")
     half = (pv - 1) // 2
     qr = 0
     for a in range(1, half + 1):

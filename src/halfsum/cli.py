@@ -13,6 +13,9 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 a mathematical claim failed
 verification, 2 usage, input or I/O error.
 
+verify and identity run through one sweep, which checks the range once
+and reads primes one sieve segment at a time; verify --jobs N maps each
+segment on one pool of at most N workers, and no more than chunks or CPUs.
 Output is deterministic: identical invocations produce byte-identical
 JSON/CSV regardless of --jobs, so wall-clock timing goes to stderr only.
 """
@@ -22,19 +25,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 import time
+from collections import Counter
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, NamedTuple, Optional, TextIO
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import __version__, primes
 from .arith import OddPrime, legendre_euler, legendre_reciprocity
 from .charsum import half_sum_direct, half_sum_sieve
 from .classnum import (
@@ -70,22 +74,6 @@ class RangeRow(NamedTuple):
     claimed: int
     distinct: int
     verdict: str
-
-
-@dataclass
-class RangeSummary:
-    """Aggregate of a verification sweep, ordered by p."""
-
-    lo: int
-    hi: int
-    primes_checked: int
-    case1_count: int
-    case2_count: int
-    small_count: int
-    rows: list[RangeRow]
-    violations: list[tuple[int, str, str]]
-    dedup_anomalies: list[tuple[int, str]]
-    wall_time_seconds: float
 
 
 def _check_prime(p: int, fast_bound: Optional[int]):
@@ -138,94 +126,87 @@ def _ledger_excerpt(entries, total: int) -> str:
     return "; ".join(parts)
 
 
-def _verify_chunk(chunk: list[int], fast_bound: Optional[int]):
-    return [_check_prime(p, fast_bound) for p in chunk]
+def _map_chunk(work: Callable[[int], object], chunk: list[int]) -> list:
+    return [work(p) for p in chunk]
 
 
-def _run_sweep(lo: int, hi: int, jobs: int, fast_bound: Optional[int]) -> RangeSummary:
-    started = time.monotonic()
-    primes = primes_in_range(lo, hi, 3, 4)
+def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterator:
+    """work(p) for every prime p = 3 mod 4 in [lo, hi], in ascending p.
 
-    if jobs <= 1 or len(primes) < 2:
-        results = _verify_chunk(primes, fast_bound)
-    else:
-        size = max(1, -(-len(primes) // (jobs * 8)))
-        chunks = [primes[i : i + size] for i in range(0, len(primes), size)]
-        worker = partial(_verify_chunk, fast_bound=fast_bound)
-        results = []
-        # The executor may start all its workers at once, so never ask for
-        # more than there are chunks to hand out.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            for part in pool.map(worker, chunks):
-                results.extend(part)
+    The range and jobs are checked at the call, before the caller opens its
+    output. Primes are then read as the result is iterated, one window of
+    primes._SEGMENT integers at a time. Above one job each window is split
+    into about 8 * jobs chunks, mapped in order on one process pool.
+    """
+    if lo > hi:
+        raise DomainError(f"--from {lo} exceeds --to {hi}")
+    if jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {jobs}")
+    window = primes._SEGMENT
 
-    rows = []
-    violations: list[tuple[int, str, str]] = []
-    anomalies: list[tuple[int, str]] = []
-    counts = {CASE_ONE: 0, CASE_TWO: 0, SMALL_REGIME: 0}
-    for row, v, anomaly in results:
-        rows.append(row)
-        violations.extend(v)
-        if anomaly is not None:
-            anomalies.append(anomaly)
-        counts[row.case] += 1
+    def results():
+        with ExitStack() as stack:
+            pool = None
+            for start in range(lo, hi + 1, window):
+                batch = primes_in_range(start, min(start + window - 1, hi), 3, 4)
+                if jobs == 1 or len(batch) < 2:
+                    yield from map(work, batch)
+                    continue
+                size = -(-len(batch) // (jobs * 8))
+                chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
+                if pool is None:
+                    # The executor may start all its workers at once, so never
+                    # ask for more than there are chunks to hand out or CPUs.
+                    # A window is full whenever another follows it, so the
+                    # first one's chunk count holds for the whole sweep.
+                    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                for part in pool.map(partial(_map_chunk, work), chunks):
+                    yield from part
 
-    return RangeSummary(
-        lo=lo,
-        hi=hi,
-        primes_checked=len(rows),
-        case1_count=counts[CASE_ONE],
-        case2_count=counts[CASE_TWO],
-        small_count=counts[SMALL_REGIME],
-        rows=rows,
-        violations=violations,
-        dedup_anomalies=anomalies,
-        wall_time_seconds=time.monotonic() - started,
-    )
+    return results()
 
 
-def _summary_to_json(s: RangeSummary) -> dict:
-    return {
-        "schema": 1,
-        "lo": s.lo,
-        "hi": s.hi,
-        "primes_checked": s.primes_checked,
-        "case1_count": s.case1_count,
-        "case2_count": s.case2_count,
-        "small_count": s.small_count,
-        "rows": [list(r) for r in s.rows],
-        "violations": [list(v) for v in s.violations],
-        "dedup_anomalies": [list(a) for a in s.dedup_anomalies],
-    }
-
-
-def _write_summary(s: RangeSummary, fmt: str, out: TextIO, strict: bool) -> None:
-    if fmt == "json":
-        json.dump(_summary_to_json(s), out, indent=2)
-        out.write("\n")
-        return
-    if fmt == "csv":
+def _write_summary(args, rows: list[RangeRow], violations, anomalies, out: TextIO) -> None:
+    """The sweep report over [args.lo, args.hi] in args.format, ordered by p."""
+    if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["p", "case", "A", "claimed", "distinct", "verdict"])
-        for r in s.rows:
-            writer.writerow(list(r))
+        writer.writerows(rows)
+        return
+    counts = Counter(r.case for r in rows)
+    if args.format == "json":
+        summary = {
+            "schema": 1,
+            "lo": args.lo,
+            "hi": args.hi,
+            "primes_checked": len(rows),
+            "case1_count": counts[CASE_ONE],
+            "case2_count": counts[CASE_TWO],
+            "small_count": counts[SMALL_REGIME],
+            "rows": rows,
+            "violations": violations,
+            "dedup_anomalies": anomalies,
+        }
+        json.dump(summary, out, indent=2)
+        out.write("\n")
         return
     out.write(
-        f"range [{s.lo}, {s.hi}]: {s.primes_checked} primes = 3 mod 4 checked "
-        f"(Case1 {s.case1_count}, Case2 {s.case2_count}, "
-        f"SmallRegime {s.small_count})\n"
+        f"range [{args.lo}, {args.hi}]: {len(rows)} primes = 3 mod 4 checked "
+        f"(Case1 {counts[CASE_ONE]}, Case2 {counts[CASE_TWO]}, "
+        f"SmallRegime {counts[SMALL_REGIME]})\n"
     )
-    out.write(f"violations: {len(s.violations)}\n")
-    for p, verdict, detail in s.violations[:50]:
+    out.write(f"violations: {len(violations)}\n")
+    for p, verdict, detail in violations[:50]:
         out.write(f"  p={p} [{verdict}] {detail}\n")
-    if len(s.violations) > 50:
-        out.write(f"  ... and {len(s.violations) - 50} more\n")
-    label = "dedup anomalies (strict)" if strict else "dedup anomalies"
-    out.write(f"{label}: {len(s.dedup_anomalies)}\n")
-    for p, excerpt in s.dedup_anomalies[:20]:
+    if len(violations) > 50:
+        out.write(f"  ... and {len(violations) - 50} more\n")
+    label = "dedup anomalies (strict)" if args.strict else "dedup anomalies"
+    out.write(f"{label}: {len(anomalies)}\n")
+    for p, excerpt in anomalies[:20]:
         out.write(f"  p={p}: {excerpt}\n")
-    if len(s.dedup_anomalies) > 20:
-        out.write(f"  ... and {len(s.dedup_anomalies) - 20} more\n")
+    if len(anomalies) > 20:
+        out.write(f"  ... and {len(anomalies) - 20} more\n")
 
 
 @contextmanager
@@ -310,21 +291,20 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.lo > args.hi:
-        print(f"error: --from {args.lo} exceeds --to {args.hi}", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
+    results = _sweep(args.lo, args.hi, args.jobs, partial(_check_prime, fast_bound=args.fast))
+    started = time.monotonic()
     with _output(args.out) as out:
-        summary = _run_sweep(args.lo, args.hi, args.jobs, args.fast)
+        rows, violations, anomalies = [], [], []
+        for row, found, anomaly in results:
+            rows.append(row)
+            violations.extend(found)
+            if anomaly is not None:
+                anomalies.append(anomaly)
         if args.strict:
-            summary.violations.extend(
-                (p, DEDUP_ANOMALY, excerpt) for p, excerpt in summary.dedup_anomalies
-            )
-        _write_summary(summary, args.format, out, args.strict)
-    print(f"wall time: {summary.wall_time_seconds:.2f}s", file=sys.stderr)
-    return 1 if summary.violations else 0
+            violations.extend((p, DEDUP_ANOMALY, excerpt) for p, excerpt in anomalies)
+        _write_summary(args, rows, violations, anomalies, out)
+    print(f"wall time: {time.monotonic() - started:.2f}s", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def cmd_classnum(args) -> int:
@@ -349,39 +329,47 @@ def cmd_classnum(args) -> int:
     return 0
 
 
+def _identity_failures(p: int, l_check: bool, l_terms: Optional[int]) -> Optional[list[str]]:
+    """The failure lines for one prime, or None for p = 3, which has no h(-p) here."""
+    if p == 3:
+        return None
+    op = OddPrime(p)
+    rec = identity_check(op)
+    lines = []
+    if not rec.ok:
+        lines.append(
+            f"p={p}: h_forms={rec.h_forms} h_charsum={rec.h_charsum} "
+            f"A={rec.identity_lhs} rhs={rec.identity_rhs}"
+        )
+    if l_check:
+        terms = max(l_terms or 100 * p, p)
+        lrec = l_value_estimate(op, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
+        if not lrec.within_tolerance:
+            lines.append(
+                f"p={p}: L estimate {lrec.l_partial:.9f} misses "
+                f"{lrec.l_exact:.9f} by more than {lrec.tolerance:.2e} "
+                f"at {lrec.terms} terms"
+            )
+    return lines
+
+
 def cmd_identity(args) -> int:
-    if args.lo > args.hi:
-        print(f"error: --from {args.lo} exceeds --to {args.hi}", file=sys.stderr)
-        return 2
+    work = partial(_identity_failures, l_check=args.l_check, l_terms=args.l_terms)
+    results = _sweep(args.lo, args.hi, 1, work)
     if args.l_terms is not None and args.l_terms < 1:
         print(f"error: --l-terms must be >= 1, got {args.l_terms}", file=sys.stderr)
         return 2
     failures = 0
     checked = 0
     skipped_three = False
-    for p in primes_in_range(args.lo, args.hi, 3, 4):
-        if p == 3:
+    for lines in results:
+        if lines is None:
             skipped_three = True
             continue
-        op = OddPrime(p)
-        rec = identity_check(op)
         checked += 1
-        if not rec.ok:
-            failures += 1
-            print(
-                f"p={p}: h_forms={rec.h_forms} h_charsum={rec.h_charsum} "
-                f"A={rec.identity_lhs} rhs={rec.identity_rhs}"
-            )
-        if args.l_check:
-            terms = max(args.l_terms or 100 * p, p)
-            lrec = l_value_estimate(op, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
-            if not lrec.within_tolerance:
-                failures += 1
-                print(
-                    f"p={p}: L estimate {lrec.l_partial:.9f} misses "
-                    f"{lrec.l_exact:.9f} by more than {lrec.tolerance:.2e} "
-                    f"at {lrec.terms} terms"
-                )
+        failures += len(lines)
+        for line in lines:
+            print(line)
     if skipped_three:
         print("p=3 skipped (excluded from class-number operations)")
     print(f"identity checked for {checked} primes in [{args.lo}, {args.hi}]; failures: {failures}")

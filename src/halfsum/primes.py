@@ -7,10 +7,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 # Segment length in integers; keeps each flag array cache-resident.
 _SEGMENT = 1 << 18
+
+# Bounds stay below 2^48, so the base sieve up to sqrt(hi) holds at most
+# 2^24 flags (~66 MB peak with its prime list).
+_SIEVE_LIMIT = 1 << 48
 
 
 def _base_primes(limit: int) -> list[int]:
@@ -34,7 +38,7 @@ def iter_primes(
     """Yield primes in [lo, hi] ascending, filtered to p % modulus == residue.
 
     An inverted range yields nothing. The filter is applied after sieving,
-    so no qualifying prime is skipped.
+    so no qualifying prime is skipped. hi must stay below _SIEVE_LIMIT.
     """
     if (residue is None) != (modulus is None):
         raise DomainError("residue and modulus must be given together")
@@ -47,6 +51,8 @@ def iter_primes(
     lo = max(lo, 2)
     if lo > hi:
         return
+    if hi >= _SIEVE_LIMIT:
+        raise ResourceLimitError(f"range bound {hi} exceeds the prime-sieve limit {_SIEVE_LIMIT}")
     base = _base_primes(isqrt(hi))
     for start in range(lo, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, hi)

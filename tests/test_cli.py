@@ -6,6 +6,7 @@ failed verification, 2 usage error.
 """
 
 import csv
+import hashlib
 import io
 import json
 from collections import Counter
@@ -14,8 +15,9 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import oracles
-from halfsum import charsum, cli, construction
+from halfsum import charsum, cli, construction, primes
 from halfsum.cli import main
+from test_golden import GOLDEN
 
 
 def run(capsys, *argv):
@@ -83,6 +85,16 @@ class TestAsum:
         code, _, err = run(capsys, "asum", "4")
         assert code == 2 and "4" in err
 
+    @pytest.mark.parametrize("method", ["direct", "sieve"])
+    def test_past_the_sieve_limit(self, capsys, monkeypatch, method):
+        # Both methods accept the same primes. The limit is lowered so that a
+        # lost check fails here at once, not after 5*10^11 symbols at 10^12.
+        monkeypatch.setattr(charsum, "_SIEVE_LIMIT", 100)
+        assert run(capsys, "asum", "97", "--method", method)[:2] == (0, "A(97) = 0\n")
+        code, out, err = run(capsys, "asum", "101", "--method", method)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "sieve limit" in err
+
 
 class TestConstruct:
     def test_text_output_p43(self, capsys):
@@ -130,6 +142,36 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "43", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces the sweep's process pool with one that maps in this process.
+
+    Returns the pools made, each with the worker count it was asked for
+    and the chunk count of each map. No process is started.
+    """
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.maps = []
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            self.maps.append(len(chunks))
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return made
 
 
 class TestVerify:
@@ -224,34 +266,25 @@ class TestVerify:
         )
         assert out1 == out2
 
-    def test_jobs_capped_at_chunk_count(self, capsys, monkeypatch):
-        # No process is started: the pool is replaced by one that records
-        # the worker count it is asked for and maps in this process.
-        asked = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                chunks = list(chunks)
-                asked.append((self.max_workers, len(chunks)))
-                return map(fn, chunks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    def test_jobs_capped_at_chunk_count(self, capsys, monkeypatch, fake_pool):
+        # The executor may start all its workers at once: ask for no more
+        # than there are chunks or CPUs.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         argv = ("verify", "--from", "3", "--to", "400", "--format", "csv")
         code, out, _ = run(capsys, *argv)
         for jobs in ("3", "100000"):
             assert run(capsys, *argv, "--jobs", jobs)[:2] == (code, out)
-        (small, small_chunks), (huge, huge_chunks) = asked
+        (small, small_chunks), (huge, huge_chunks) = [(p.max_workers, *p.maps) for p in fake_pool]
         assert small == 3 < small_chunks
-        assert huge == huge_chunks == out.count("\n") - 1  # a chunk per prime
+        assert huge == 4 < huge_chunks == out.count("\n") - 1  # a chunk per prime
+
+    @pytest.mark.parametrize("cpus, workers", [(None, 1), (1000, 13)])
+    def test_workers_capped_at_chunks_and_cpus(self, capsys, monkeypatch, fake_pool, cpus, workers):
+        # 13 primes in [3, 100], so at most 13 chunks; an unknown CPU count
+        # counts as one.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        run(capsys, "verify", "--from", "3", "--to", "100", "--jobs", "100000")
+        assert [p.max_workers for p in fake_pool] == [workers]
 
     @pytest.mark.parametrize(
         "failure",
@@ -317,9 +350,16 @@ class TestVerify:
         assert "wall time" in err
         assert "wall time" not in out
 
-    def test_inverted_range(self, capsys):
-        code, _, err = run(capsys, "verify", "--from", "10", "--to", "5")
-        assert code == 2 and "exceeds" in err
+    def test_inverted_range(self, capsys, tmp_path):
+        # The range is checked first: before --jobs, and before --out is
+        # opened, so the file keeps what it held.
+        target = tmp_path / "sweep.txt"
+        target.write_text("kept\n")
+        argv = ("verify", "--from", "10", "--to", "5", "--jobs", "0", "--out", str(target))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --from 10 exceeds --to 5\n"
+        assert target.read_text() == "kept\n"
 
     def test_bad_jobs(self, capsys):
         code, _, _ = run(capsys, "verify", "--from", "3", "--to", "10", "--jobs", "0")
@@ -418,6 +458,58 @@ class TestIdentity:
         code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "table limit" in err
+
+
+class TestSweep:
+    # verify and identity read their primes through cli._sweep.
+
+    @pytest.mark.parametrize(
+        "argv, code, size, digest",
+        [g for g in GOLDEN if g[0][0] in ("verify", "identity")],
+        ids=[" ".join(g[0]) for g in GOLDEN if g[0][0] in ("verify", "identity")],
+    )
+    def test_output_does_not_depend_on_the_window(self, capsys, monkeypatch, argv, code, size, digest):
+        # With 64-integer windows every range spans many windows, and the
+        # --jobs 2 case maps each window on one real two-worker pool.
+        monkeypatch.setattr(primes, "_SEGMENT", 64)
+        got_code, out, _ = run(capsys, *argv)
+        assert (got_code, len(out)) == (code, size)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_one_pool_per_sweep(self, capsys, monkeypatch, fake_pool):
+        monkeypatch.setattr(primes, "_SEGMENT", 64)
+        argv = ("verify", "--from", "3", "--to", "3000", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "3")[:2] == (code, out)
+        assert len(fake_pool) == 1 and len(fake_pool[0].maps) > 40
+
+    def test_first_result_after_one_window(self, monkeypatch):
+        calls = []
+
+        def recording(lo, hi, *rest):
+            calls.append((lo, hi))
+            return primes.primes_in_range(lo, hi, *rest)
+
+        monkeypatch.setattr(cli, "primes_in_range", recording)
+        results = cli._sweep(3, 10**12, 1, lambda p: p)
+        assert calls == []
+        assert next(results) == 3
+        [(lo, hi)] = calls
+        assert lo == 3 and hi - lo < primes._SEGMENT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--from", str(10**30), "--to", str(10**30 + 10), "--fast", "0"),
+            ("identity", "--from", str(10**30), "--to", str(10**30 + 10)),
+        ],
+        ids=["verify", "identity"],
+    )
+    def test_range_past_the_prime_sieve_limit(self, capsys, argv):
+        # The base sieve up to sqrt(10^30) would take ~909 TiB.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "prime-sieve limit" in err
 
 
 class TestOnePassPerPrime:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from halfsum.errors import DomainError
+from halfsum import primes
+from halfsum.errors import DomainError, ResourceLimitError
 from halfsum.primes import iter_primes, primes_in_range
 
 
@@ -58,6 +59,16 @@ class TestPrimesInRange:
             primes_in_range(1, 10, residue=3)
         with pytest.raises(DomainError):
             primes_in_range(-5, 10)
+
+    def test_sieve_limit(self, monkeypatch):
+        # The base sieve holds sqrt(hi) flags: ~909 TiB at hi = 10^30.
+        with pytest.raises(ResourceLimitError):
+            primes_in_range(10**30, 10**30 + 10)
+        monkeypatch.setattr(primes, "_SIEVE_LIMIT", 100)
+        assert primes_in_range(90, 99) == [97]
+        assert primes_in_range(200, 100) == []
+        with pytest.raises(ResourceLimitError):
+            primes_in_range(90, 100)
 
     def test_residue_normalisation(self):
         assert primes_in_range(1, 20, 7, 4) == primes_in_range(1, 20, 3, 4)
