@@ -34,6 +34,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 import numpy as np
@@ -133,36 +134,42 @@ def _map_chunk(work: Callable[[int], object], chunk: list[int]) -> list:
 def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterator:
     """work(p) for every prime p = 3 mod 4 in [lo, hi], in ascending p.
 
-    The range and jobs are checked at the call, before the caller opens its
-    output. Primes are then read as the result is iterated, one window of
-    primes._SEGMENT integers at a time. Above one job each window is split
-    into about 8 * jobs chunks, mapped in order on one process pool.
+    The range, jobs and the prime-sieve limit are checked at the call,
+    before the caller opens its output. Primes are then read as the result
+    is iterated, one window of primes._SEGMENT integers at a time. Above one
+    job each window is split into about 8 * jobs chunks and mapped on one
+    process pool, a window ahead of the results yielded, so the workers do
+    not wait at the end of each window.
     """
     if lo > hi:
         raise DomainError(f"--from {lo} exceeds --to {hi}")
     if jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {jobs}")
+    primes.check_bound(hi)
     window = primes._SEGMENT
 
     def results():
         with ExitStack() as stack:
             pool = None
+            ahead = ()
             for start in range(lo, hi + 1, window):
                 batch = primes_in_range(start, min(start + window - 1, hi), 3, 4)
-                if jobs == 1 or len(batch) < 2:
+                if jobs == 1 or (pool is None and len(batch) < 2):
                     yield from map(work, batch)
                     continue
-                size = -(-len(batch) // (jobs * 8))
+                size = max(1, -(-len(batch) // (jobs * 8)))
                 chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
                 if pool is None:
                     # The executor may start all its workers at once, so never
                     # ask for more than there are chunks to hand out or CPUs.
-                    # A window is full whenever another follows it, so the
-                    # first one's chunk count holds for the whole sweep.
+                    # A window is full whenever another follows it, so the chunk
+                    # count of the window that opens the pool holds throughout.
                     workers = min(jobs, len(chunks), os.cpu_count() or 1)
                     pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                for part in pool.map(partial(_map_chunk, work), chunks):
-                    yield from part
+                mapped = chain.from_iterable(pool.map(partial(_map_chunk, work), chunks))
+                yield from ahead
+                ahead = mapped
+            yield from ahead
 
     return results()
 
@@ -329,47 +336,38 @@ def cmd_classnum(args) -> int:
     return 0
 
 
-def _identity_failures(p: int, l_check: bool, l_terms: Optional[int]) -> Optional[list[str]]:
-    """The failure lines for one prime, or None for p = 3, which has no h(-p) here."""
-    if p == 3:
-        return None
-    op = OddPrime(p)
-    rec = identity_check(op)
-    lines = []
-    if not rec.ok:
-        lines.append(
-            f"p={p}: h_forms={rec.h_forms} h_charsum={rec.h_charsum} "
-            f"A={rec.identity_lhs} rhs={rec.identity_rhs}"
-        )
-    if l_check:
-        terms = max(l_terms or 100 * p, p)
-        lrec = l_value_estimate(op, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
-        if not lrec.within_tolerance:
-            lines.append(
-                f"p={p}: L estimate {lrec.l_partial:.9f} misses "
-                f"{lrec.l_exact:.9f} by more than {lrec.tolerance:.2e} "
-                f"at {lrec.terms} terms"
-            )
-    return lines
-
-
 def cmd_identity(args) -> int:
-    work = partial(_identity_failures, l_check=args.l_check, l_terms=args.l_terms)
-    results = _sweep(args.lo, args.hi, 1, work)
+    # Each failure is printed as found, before a later check can stop the command.
+    results = _sweep(args.lo, args.hi, 1, int)
     if args.l_terms is not None and args.l_terms < 1:
         print(f"error: --l-terms must be >= 1, got {args.l_terms}", file=sys.stderr)
         return 2
     failures = 0
     checked = 0
     skipped_three = False
-    for lines in results:
-        if lines is None:
+    for p in results:
+        if p == 3:
             skipped_three = True
             continue
+        op = OddPrime(p)
+        rec = identity_check(op)
         checked += 1
-        failures += len(lines)
-        for line in lines:
-            print(line)
+        if not rec.ok:
+            failures += 1
+            print(
+                f"p={p}: h_forms={rec.h_forms} h_charsum={rec.h_charsum} "
+                f"A={rec.identity_lhs} rhs={rec.identity_rhs}"
+            )
+        if args.l_check:
+            terms = max(args.l_terms or 100 * p, p)
+            lrec = l_value_estimate(op, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
+            if not lrec.within_tolerance:
+                failures += 1
+                print(
+                    f"p={p}: L estimate {lrec.l_partial:.9f} misses "
+                    f"{lrec.l_exact:.9f} by more than {lrec.tolerance:.2e} "
+                    f"at {lrec.terms} terms"
+                )
     if skipped_three:
         print("p=3 skipped (excluded from class-number operations)")
     print(f"identity checked for {checked} primes in [{args.lo}, {args.hi}]; failures: {failures}")

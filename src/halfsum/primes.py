@@ -29,6 +29,12 @@ def _base_primes(limit: int) -> list[int]:
     return [int(v) for v in np.flatnonzero(flags)]
 
 
+def check_bound(hi: int) -> None:
+    """Raise ResourceLimitError unless hi is below the prime-sieve limit."""
+    if hi >= _SIEVE_LIMIT:
+        raise ResourceLimitError(f"range bound {hi} exceeds the prime-sieve limit {_SIEVE_LIMIT}")
+
+
 def iter_primes(
     lo: int,
     hi: int,
@@ -51,8 +57,7 @@ def iter_primes(
     lo = max(lo, 2)
     if lo > hi:
         return
-    if hi >= _SIEVE_LIMIT:
-        raise ResourceLimitError(f"range bound {hi} exceeds the prime-sieve limit {_SIEVE_LIMIT}")
+    check_bound(hi)
     base = _base_primes(isqrt(hi))
     for start in range(lo, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, hi)

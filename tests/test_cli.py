@@ -6,6 +6,7 @@ failed verification, 2 usage error.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -460,6 +461,22 @@ class TestIdentity:
         assert err.startswith("error:") and "table limit" in err
 
 
+    def test_failure_printed_before_l_check_limit(self, capsys, monkeypatch):
+        # A prime's identity failure is printed before its --l-check stops
+        # the command at the table limit.
+        real = cli.identity_check
+
+        def failing_at_43(op):
+            rec = real(op)
+            return dataclasses.replace(rec, h_forms=0) if rec.p == 43 else rec
+
+        monkeypatch.setattr(cli, "identity_check", failing_at_43)
+        monkeypatch.setattr(charsum, "_TABLE_LIMIT", 40)
+        code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
+        assert code == 2 and out == "p=43: h_forms=0 h_charsum=1 A=3 rhs=3\n"
+        assert err.startswith("error:") and "table limit" in err
+
+
 class TestSweep:
     # verify and identity read their primes through cli._sweep.
 
@@ -483,6 +500,15 @@ class TestSweep:
         assert run(capsys, *argv, "--jobs", "3")[:2] == (code, out)
         assert len(fake_pool) == 1 and len(fake_pool[0].maps) > 40
 
+    def test_next_window_mapped_before_results(self, monkeypatch, fake_pool):
+        # The pool gets a window's chunks before the last window's results
+        # are read, so its workers never wait at a window's end.
+        monkeypatch.setattr(primes, "_SEGMENT", 64)
+        results = cli._sweep(3, 3000, 3, abs)
+        assert next(results) == 3
+        assert len(fake_pool[0].maps) == 2
+        assert list(results) == primes.primes_in_range(7, 3000, 3, 4)
+
     def test_first_result_after_one_window(self, monkeypatch):
         calls = []
 
@@ -502,11 +528,13 @@ class TestSweep:
         [
             ("verify", "--from", str(10**30), "--to", str(10**30 + 10), "--fast", "0"),
             ("identity", "--from", str(10**30), "--to", str(10**30 + 10)),
+            ("verify", "--from", "3", "--to", str(10**30), "--fast", "0"),
         ],
-        ids=["verify", "identity"],
+        ids=["verify", "identity", "verify-from-3"],
     )
     def test_range_past_the_prime_sieve_limit(self, capsys, argv):
-        # The base sieve up to sqrt(10^30) would take ~909 TiB.
+        # The base sieve up to sqrt(10^30) would take ~909 TiB, and a range
+        # that starts low is refused before its first window is swept.
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "prime-sieve limit" in err
