@@ -6,17 +6,21 @@ fact that x^2 mod p for x = 1 .. (p-1)/2 hits every quadratic residue
 exactly once. The squares also give the residue table, the residue sum
 behind the class number, and the signs of the L(1, chi) partial sum.
 
-Every squares pass runs one exact float64 kernel, _squares_mod, on blocks
-x = x0 + i with 0 <= i < 2^15. There x^2 = c0 + (c1 + i)*i (mod p) with
-c0 = x0^2 mod p and c1 = 2*x0 mod p taken in Python integers, so each
-value is an integer below 2^47 and exact in float64. It is reduced as
-v - floor(v * r)*p, where r is 1/p rounded up by two ulps: v * r then
-never falls below v/p and stays less than 1/p above it, so the floor is
-exact for every v < 2^50 (Barrett 1986; Lemire, Kaser and Kurz, "Faster
-remainder by direct computation", 2019) and no fix-up step is needed.
-Each command makes one pass per prime: the half-interval count and the
-residue sum share the blocks of one pass, and the residue marks, once
-built, also give the count.
+Every squares pass runs one float64 kernel, _quotients, on blocks
+x = x0 + i, 0 <= i < 2^15, where x^2 = v = c0 + (c1 + i)*i (mod p) with
+c0 = x0^2 mod p and c1 = 2*x0 mod p, so v < 2^46 + 2^32 for p < 2^31.
+It yields u = (c1 + i)*(i*r) + c0*r, with the column i*r computed once
+per prime and r = 1/p rounded up by four ulps: r*p - 1 lies in
+(3.5, 9] * 2^-53 (Lemire, Kaser and Kurz, "Faster remainder by direct
+computation", 2019). Each term of u is rounded at most three times, by
+a relative 2^-53 at most, so 0 <= p*u - v < 12.1 * 2^-53 * v < 1/8,
+with equality only at v = 0. Hence floor(u) = floor(v/p), and A(p)
+counts frac(u) < 1/2, for odd p exactly x^2 mod p <= (p-1)/2; the
+residue sum is the closed-form sum of v less p times the sum of floor(u);
+the residue marks truncate p*frac(u), which rounding cannot take below
+x^2 mod p. Each command makes one pass per prime: the half-interval count
+and the residue sum share the blocks of one pass, and the residue marks,
+once built, also give the count.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .arith import OddPrime, as_prime, legendre_euler
 from .errors import ConsistencyError, ResourceLimitError
 
-# Block length of the squares kernel: i < 2^15 keeps c0 + (c1 + i)*i below 2^47.
+# Block length of the squares kernel: i < 2^15 keeps v below 2^46 + 2^32.
 _BLOCK = 1 << 15
 
 
@@ -50,7 +54,7 @@ def _aligned_empty(n: int) -> np.ndarray:
 _I = _aligned_empty(_BLOCK)
 _I[:] = np.arange(_BLOCK)
 
-# c0 and c1 are below p, so every kernel value stays below 2^47 for p < 2^31.
+# c0 and c1 are below p, so the kernel's error bound holds for p < 2^31.
 _SIEVE_LIMIT = 1 << 31
 
 # Full tables allocate p bytes; _qr_marks caps p to bound single-prime calls.
@@ -81,42 +85,40 @@ class HalfSumRecord:
             raise ConsistencyError("a_value does not match the counts")
 
 
-def _square_block(pv: int, x0: int, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """x^2 mod p for x = x0 .. x0 + len(v) - 1, written into v as float64.
-
-    q is scratch of the same length, and len(v) <= _BLOCK. Exact for every
-    p < _SIEVE_LIMIT and x0 >= 0 (see the module docstring).
-    """
-    n = len(v)
-    r = math.nextafter(math.nextafter(1.0 / pv, 1.0), 1.0)
-    i = _I[:n]
-    np.add(i, float(2 * x0 % pv), out=v)
-    v *= i
-    v += float(x0 * x0 % pv)
-    np.multiply(v, r, out=q)
-    np.floor(q, out=q)
-    q *= pv
-    v -= q
-    return v
-
-
-def _squares_mod(pv: int) -> Iterator[np.ndarray]:
-    """x^2 mod p for x = 1 .. (p-1)/2, as float64 blocks of at most _BLOCK.
-
-    Every block is written into the same buffer, so use each one before
-    asking for the next.
-    """
+def _quotients(pv: int, start: int = 1, stop: Optional[int] = None) -> Iterator[tuple]:
+    """(c0, c1, u, w) per block of at most _BLOCK of x = start .. stop - 1,
+    by default the half interval: u holds the quotients of the module
+    docstring, w is scratch of u's length, and the next block reuses both."""
     if pv >= _SIEVE_LIMIT:
         raise ResourceLimitError(
             f"p = {pv} exceeds the sieve limit {_SIEVE_LIMIT}; "
             "the exact float64 squares kernel needs p < 2^31"
         )
-    half = (pv - 1) // 2
-    v = _aligned_empty(min(half, _BLOCK))
-    q = _aligned_empty(len(v))
-    for x0 in range(1, half + 1, _BLOCK):
-        n = min(_BLOCK, half + 1 - x0)
-        yield _square_block(pv, x0, v[:n], q[:n])
+    stop = stop or (pv + 1) // 2
+    r = 1.0 / pv
+    for _ in range(4):
+        r = math.nextafter(r, 1.0)
+    n = min(stop - start, _BLOCK)
+    # One allocation for three rows; rows of a multiple of 8 floats stay aligned.
+    ir, u, w = _aligned_empty(3 * ((n + 7) & -8)).reshape(3, -1)[:, :n]
+    i = _I[:n]
+    np.multiply(i, r, out=ir)
+    for x0 in range(start, stop, _BLOCK):
+        if stop - x0 < n:  # the last block is shorter
+            n = stop - x0
+            i, ir, u, w = i[:n], ir[:n], u[:n], w[:n]
+        c0, c1 = x0 * x0 % pv, 2 * x0 % pv
+        np.add(i, float(c1), out=u)
+        u *= ir
+        u += c0 * r
+        yield c0, c1, u, w
+
+
+def _residue_sum(pv: int, c0: int, c1: int, u: np.ndarray, w: np.ndarray) -> int:
+    """Sum of x^2 mod p over a block: sum(v) - p*sum(floor(u)), with sum(floor(u)) < 2^45."""
+    n = len(u)
+    v_sum = n * c0 + c1 * n * (n - 1) // 2 + (n - 1) * n * (2 * n - 1) // 6
+    return v_sum - pv * int(np.floor(u, out=w).sum())
 
 
 def half_sum_direct(p: int | OddPrime) -> HalfSumRecord:
@@ -137,18 +139,17 @@ def half_sum_sieve(p: int | OddPrime, *, sum_residues: bool = False) -> HalfSumR
     """A(p) by counting squares that land in the half interval; O(p).
 
     The squares x^2 mod p for x = 1 .. (p-1)/2 are pairwise distinct, so
-    counting those <= (p-1)/2 equals counting marked cells of a bit array.
-    With sum_residues the same pass also totals the squares, which are all
-    the residues, into residue_sum (exact: a block sum stays below 2^46).
+    counting those <= (p-1)/2, where 0 < frac(u) < 1/2 and so u > rint(u),
+    equals counting marked cells of a bit array. With sum_residues the same
+    pass also totals the squares, which are all the residues, into residue_sum.
     """
     pv = as_prime(p).value
     half = (pv - 1) // 2
-    qr = 0
-    total = 0 if sum_residues else None
-    for x in _squares_mod(pv):
-        qr += int(np.count_nonzero(x <= half))
+    qr, total = 0, 0 if sum_residues else None
+    for c0, c1, u, w in _quotients(pv):
+        qr += int(np.count_nonzero(u > np.rint(u, out=w)))
         if sum_residues:
-            total += int(x.sum())
+            total += _residue_sum(pv, c0, c1, u, w)
     return HalfSumRecord(pv, qr, half - qr, 2 * qr - half, "sieve", total)
 
 
@@ -168,8 +169,10 @@ def _qr_marks(pv: int) -> np.ndarray:
     if pv > _TABLE_LIMIT:
         raise ResourceLimitError(f"p = {pv} exceeds the table limit {_TABLE_LIMIT}")
     marks = np.zeros(pv, dtype=np.uint8)
-    for x in _squares_mod(pv):
-        marks[x.astype(np.intp)] = 1
+    for _, _, u, w in _quotients(pv):
+        np.subtract(u, np.floor(u, out=w), out=w)
+        w *= pv
+        marks[w.astype(np.intp)] = 1
     return marks
 
 
@@ -183,13 +186,9 @@ def qr_table(p: int | OddPrime) -> bytes:
 
 
 def qr_value_sum(p: int | OddPrime) -> int:
-    """Exact sum of all quadratic residues in [1, p-1].
-
-    Accumulated in Python integers from float64 block sums of the squares
-    kernel; a block holds at most 2^15 values below 2^31, so each block
-    sum is an integer below 2^46 and exact in any summation order.
-    """
-    return sum(int(x.sum()) for x in _squares_mod(as_prime(p).value))
+    """Exact sum of all quadratic residues in [1, p-1], in Python integers."""
+    pv = as_prime(p).value
+    return sum(_residue_sum(pv, *block) for block in _quotients(pv))
 
 
 def l_series_partial(p: int | OddPrime, terms: int) -> float:

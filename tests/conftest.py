@@ -38,17 +38,17 @@ def is_prime_calls(monkeypatch):
 
 @pytest.fixture
 def squares_passes(monkeypatch):
-    """p of every squares pass (charsum._squares_mod call) made during the test.
+    """p of every squares pass (charsum._quotients call) made during the test.
 
     Every sieve, residue table and residue sum squares the half interval
     through that one kernel, so the list records each pass over a prime.
     """
     calls = []
-    original = charsum._squares_mod
+    original = charsum._quotients
 
-    def counted(pv):
+    def counted(pv, *args):
         calls.append(pv)
-        return original(pv)
+        return original(pv, *args)
 
-    monkeypatch.setattr(charsum, "_squares_mod", counted)
+    monkeypatch.setattr(charsum, "_quotients", counted)
     return calls

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from halfsum import charsum
+from halfsum import charsum, classnum
 from halfsum.arith import OddPrime
 from halfsum.charsum import (
     HalfSumRecord,
@@ -129,6 +129,22 @@ class TestQrHelpers:
         for p in small_odd_primes[:30]:
             assert qr_value_sum(p) == sum(oracles.qr_set(p))
 
+    @pytest.mark.parametrize("block", [charsum._BLOCK, 7])
+    def test_both_residue_sums_match_brute_across_blocks(self, monkeypatch, block):
+        # qr_value_sum (classnum --method charsum) and the sieve's residue_sum
+        # (identity_check) share one block-sum routine; short blocks make
+        # every prime span several, with c0, c1 != 0 in all but the first.
+        monkeypatch.setattr(charsum, "_BLOCK", block)
+        for p in oracles.primes_trial(3, 400) + [1000003]:
+            brute = sum(x * x % p for x in range(1, (p + 1) // 2))
+            rec = half_sum_sieve(p, sum_residues=True)
+            assert qr_value_sum(p) == rec.residue_sum == brute, p
+            if p < 400:
+                assert rec.a_value == oracles.half_sum_brute(p), p
+        for p in oracles.primes_trial(7, 400, 3, 4):
+            rec = classnum.identity_check(p)
+            assert rec.ok and rec.h_charsum == len(oracles.forms_brute(p)), p
+
     def test_l_series_partial_matches_brute(self):
         for p in (7, 11, 23, 101):
             terms = 7 * p + 3
@@ -156,12 +172,37 @@ class TestLimits:
 
 
 def _kernel_block(p, x0, n):
-    """The kernel's squares for x = x0 .. x0 + n - 1, as Python ints."""
-    return [int(v) for v in charsum._square_block(p, x0, np.empty(n), np.empty(n))]
+    """The kernel's quotients u for the one block x = x0 .. x0 + n - 1."""
+    ((_, _, u, _),) = charsum._quotients(p, x0, x0 + n)
+    return u
 
 
-def _python_block(p, x0, n):
-    return [x * x % p for x in range(x0, x0 + n)]
+def _check_block(p, x0, u, exact=None):
+    """Check a kernel block against integer arithmetic; return x^2 mod p.
+
+    On every element: floor(u) is the quotient floor(v/p) of the kernel's
+    v = c0 + (c1 + i)*i, frac(u) < 1/2 exactly where x^2 mod p <= (p-1)/2
+    (and so does u > rint(u) off the multiples of p), and the residue
+    marks' p*frac(u), truncated, is x^2 mod p. At the indices `exact` (every
+    index by default) the bound 0 <= p*u - v < 1/8 is checked in exact
+    rationals.
+    """
+    i = np.arange(len(u), dtype=np.int64)
+    v = x0 * x0 % p + (2 * x0 % p + i) * i  # below 2^47, exact in int64
+    q, m = np.divmod(v, p)
+    assert np.array_equal(m, ((x0 + i) % p) ** 2 % p)
+    whole = np.floor(u)
+    frac = u - whole
+    assert np.array_equal(whole.astype(np.int64), q), (p, x0)
+    assert np.array_equal(frac < 0.5, m <= (p - 1) // 2), (p, x0)
+    off = m > 0
+    assert np.array_equal((u > np.rint(u))[off], (m <= (p - 1) // 2)[off]), (p, x0)
+    assert np.array_equal((p * frac).astype(np.int64), m), (p, x0)
+    for k in range(len(u)) if exact is None else exact:
+        num, den = float(u[k]).as_integer_ratio()
+        scaled = p * num - int(v[k]) * den  # (p*u - v) * den
+        assert 0 <= scaled and 8 * scaled < den, (p, x0 + int(k))
+    return m
 
 
 class TestSquaresKernel:
@@ -169,13 +210,14 @@ class TestSquaresKernel:
 
     @pytest.mark.parametrize("p", [2147483647, 2146483663])
     def test_first_middle_and_last_block_below_the_sieve_limit(self, p):
-        # 2^31 - 1 is the largest prime the kernel accepts.
+        # 2^31 - 1 is the largest prime the kernel accepts, where v comes
+        # closest to the 2^46 + 2^32 the error bound allows for.
         assert p < charsum._SIEVE_LIMIT and oracles.is_prime_trial(p)
         half, block = (p - 1) // 2, charsum._BLOCK
         last = (half - 1) // block
         for x0 in (1, 1 + (last // 2) * block, 1 + last * block):
             n = min(block, half + 1 - x0)
-            assert _kernel_block(p, x0, n) == _python_block(p, x0, n)
+            _check_block(p, x0, _kernel_block(p, x0, n))
         assert x0 + n - 1 == half
 
     @settings(max_examples=40, deadline=None)
@@ -190,31 +232,36 @@ class TestSquaresKernel:
         half = (p - 1) // 2
         x0 = 1 + int(where * (half - 1))
         count = min(charsum._BLOCK, half + 1 - x0)
-        assert _kernel_block(p, x0, count) == _python_block(p, x0, count)
+        _check_block(p, x0, _kernel_block(p, x0, count))
 
     def test_multiples_of_p_reduce_to_zero(self):
-        # The reciprocal is rounded up, so even v = 0 (mod p) needs no fix-up.
-        # From x0 = 0 a block passes x = 0, p, 2p, ...; with 1/p rounded to
-        # nearest, 60 of the primes below 3000 would leave some v = k*p at p.
-        x = np.arange(charsum._BLOCK, dtype=np.int64)
+        # The reciprocal is rounded up, so even v = 0 (mod p) floors to its
+        # exact quotient. From x0 = 0 a block passes x = 0, p, 2p, ...; with
+        # 1/p rounded to nearest, 68 of the primes below 3000 would floor
+        # some v = k*p to k - 1 and mark residue p - 1 instead of 0.
         for p in oracles.primes_trial(3, 3000):
-            got = charsum._square_block(p, 0, np.empty(x.size), np.empty(x.size))
-            assert np.array_equal(got, x * x % p), p
+            u = _kernel_block(p, 0, charsum._BLOCK)
+            _check_block(p, 0, u, exact=range(0, charsum._BLOCK, p))
         for p in (1000003, 2147483647):
-            assert _kernel_block(p, 5 * p - 3, 7) == _python_block(p, 5 * p - 3, 7)
+            m = _check_block(p, 5 * p - 3, _kernel_block(p, 5 * p - 3, 7))
+            assert m.tolist() == [9, 4, 1, 0, 1, 4, 9]
 
     def test_blocks_cover_the_half_interval_in_order(self, monkeypatch):
         monkeypatch.setattr(charsum, "_BLOCK", 5)
         p = 103
-        got = [int(v) for x in charsum._squares_mod(p) for v in x]
-        assert got == _python_block(p, 1, (p - 1) // 2)
+        got, x0 = [], 1
+        for c0, c1, u, _ in charsum._quotients(p):
+            assert (c0, c1) == (x0 * x0 % p, 2 * x0 % p)
+            got += _check_block(p, x0, u).tolist()
+            x0 += len(u)
+        assert got == [x * x % p for x in range(1, (p + 1) // 2)]
 
     def test_buffers_start_on_64_byte_boundaries(self):
         # Where the heap puts them must not decide the kernel's speed.
         assert charsum._I.ctypes.data % 64 == 0
         for p in (103, 1000003):
-            for x in charsum._squares_mod(p):
-                assert x.ctypes.data % 64 == 0
+            for _, _, u, w in charsum._quotients(p):
+                assert u.ctypes.data % 64 == 0 and w.ctypes.data % 64 == 0
         for n in range(1, 20):
             buf = charsum._aligned_empty(n)
             assert buf.shape == (n,) and buf.dtype == np.float64 and buf.ctypes.data % 64 == 0
