@@ -114,11 +114,10 @@ def _quotients(pv: int, start: int = 1, stop: Optional[int] = None) -> Iterator[
         yield c0, c1, u, w
 
 
-def _residue_sum(pv: int, c0: int, c1: int, u: np.ndarray, w: np.ndarray) -> int:
-    """Sum of x^2 mod p over a block: sum(v) - p*sum(floor(u)), with sum(floor(u)) < 2^45."""
-    n = len(u)
+def _residue_sum(pv: int, c0: int, c1: int, n: int, floor_sum: int) -> int:
+    """Sum of x^2 mod p over a block of n: sum(v) - p*floor_sum, floor_sum = sum(floor(u))."""
     v_sum = n * c0 + c1 * n * (n - 1) // 2 + (n - 1) * n * (2 * n - 1) // 6
-    return v_sum - pv * int(np.floor(u, out=w).sum())
+    return v_sum - pv * floor_sum
 
 
 def half_sum_direct(p: int | OddPrime) -> HalfSumRecord:
@@ -142,14 +141,16 @@ def half_sum_sieve(p: int | OddPrime, *, sum_residues: bool = False) -> HalfSumR
     counting those <= (p-1)/2, where 0 < frac(u) < 1/2 and so u > rint(u),
     equals counting marked cells of a bit array. With sum_residues the same
     pass also totals the squares, which are all the residues, into residue_sum.
+    As 0 < frac(u) != 1/2 here, floor(u) is rint(u) - 1 where u < rint(u), else rint(u).
     """
     pv = as_prime(p).value
     half = (pv - 1) // 2
     qr, total = 0, 0 if sum_residues else None
     for c0, c1, u, w in _quotients(pv):
-        qr += int(np.count_nonzero(u > np.rint(u, out=w)))
+        count = int(np.count_nonzero(u > np.rint(u, out=w)))
+        qr += count
         if sum_residues:
-            total += _residue_sum(pv, c0, c1, u, w)
+            total += _residue_sum(pv, c0, c1, len(u), int(w.sum()) - len(u) + count)
     return HalfSumRecord(pv, qr, half - qr, 2 * qr - half, "sieve", total)
 
 
@@ -188,7 +189,10 @@ def qr_table(p: int | OddPrime) -> bytes:
 def qr_value_sum(p: int | OddPrime) -> int:
     """Exact sum of all quadratic residues in [1, p-1], in Python integers."""
     pv = as_prime(p).value
-    return sum(_residue_sum(pv, *block) for block in _quotients(pv))
+    return sum(
+        _residue_sum(pv, c0, c1, len(u), int(np.floor(u, out=w).sum()))
+        for c0, c1, u, w in _quotients(pv)
+    )
 
 
 def l_series_partial(p: int | OddPrime, terms: int) -> float:

@@ -106,8 +106,12 @@ def _check_prime(p: int, fast_bound: Optional[int]):
     if report.verdict == BOUND_VIOLATION:
         violations.append((p, BOUND_VIOLATION, report.reason))
     anomaly = None
-    if report.unexpected_count:
-        anomaly = (p, _ledger_excerpt(report.first_unexpected(3), report.unexpected_count))
+    unexpected = report.unexpected_duplicates
+    if unexpected:
+        parts = [f"{e.element} claimed by {', '.join(e.sites)}" for e in unexpected[:3]]
+        if len(unexpected) > 3:
+            parts.append(f"and {len(unexpected) - 3} more")
+        anomaly = (p, "; ".join(parts))
     row = RangeRow(
         p,
         report.case,
@@ -117,14 +121,6 @@ def _check_prime(p: int, fast_bound: Optional[int]):
         report.verdict,
     )
     return row, violations, anomaly
-
-
-def _ledger_excerpt(entries, total: int) -> str:
-    """The given leading ledger entries, and how many of total are left out."""
-    parts = [f"{e.element} claimed by {', '.join(e.sites)}" for e in entries]
-    if total > len(entries):
-        parts.append(f"and {total - len(entries)} more")
-    return "; ".join(parts)
 
 
 def _map_chunk(work: Callable[[int], object], chunk: list[int]) -> list:

@@ -16,8 +16,8 @@ Each family runs as numpy columns: its candidates and partners are
 progressions, their symbols are read from the residue marks of
 charsum._qr_marks, and every check applies to the whole family at once.
 First-claim-wins dedup is one stable sort of all witnesses in generation
-order. PairWitness and DedupEntry objects, and the ledger's site labels,
-are built from the columns only when first read, and then kept.
+order. Witnesses, failed pairs and the dedup ledger are read as Rows: the
+columns give their lengths, and each read builds only the rows it covers.
 
 Failures are never patched over; they become structured verdicts:
 
@@ -36,10 +36,10 @@ audit.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,9 +60,9 @@ DEDUP_ANOMALY = "DedupAnomaly"
 # Primes handled by direct verification instead of the construction.
 SMALL_REGIME_PRIMES = (3, 7, 11, 19, 23, 31)
 
-# An audit makes about p/4 pairs and peaks near 62 bytes per pair (traced
-# at p = 1000003), so at this limit it stays near 130 MB; construct --json,
-# which also builds every witness, peaks near 420 bytes per pair, ~0.9 GB.
+# An audit makes about p/4 pairs and peaks near 88 bytes per pair (traced
+# at p = 1000003), so at this limit it stays near 190 MB; construct --json,
+# which also builds every witness, peaks near 320 bytes per pair, ~0.7 GB.
 # Elements and their doubles stay far below 2^31, so the columns are int32.
 _CONSTRUCT_LIMIT = 1 << 23
 _INT = np.int32
@@ -89,6 +89,35 @@ class DedupEntry(NamedTuple):
     expected: bool
 
 
+class Rows(Sequence):
+    """Read-only rows held as columns: rows(sel) builds, in order, the rows
+    that a slice or index array sel picks, and index picks this view's rows
+    (all by default). Length and truth value build no row; indexing and
+    slicing build only the rows they cover; nothing built is kept."""
+
+    def __init__(self, size: int, rows: Callable, index: Optional[np.ndarray] = None):
+        self._size, self._rows, self._index = size, rows, index
+
+    def __len__(self) -> int:
+        return self._size if self._index is None else len(self._index)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows(slice(None) if self._index is None else self._index))
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return self[key : key + 1 or None][0]  # empty, so IndexError, past either end
+        return list(self._rows(key if self._index is None else self._index[key]))
+
+
+_NO_ROWS = Rows(0, lambda sel: ())
+
+
+def _build(kind: type, *columns: list) -> Iterator:
+    """kind(*row) for each row across the columns, built at C level."""
+    return map(tuple.__new__, repeat(kind), zip(*columns))
+
+
 @dataclass(eq=False)
 class FamilyReport:
     """Audit record for one pairing family, held as columns.
@@ -109,18 +138,19 @@ class FamilyReport:
     def pairs(self) -> int:
         return len(self.chosen)
 
-    @cached_property
-    def witnesses(self) -> list[PairWitness]:
-        chosen = [w or None for w in self.chosen.tolist()]
-        return list(map(PairWitness, self.candidates.tolist(), self.partners.tolist(), chosen))
+    @property
+    def witnesses(self) -> Rows:
+        return Rows(self.pairs, self._witnesses)
 
     @property
-    def failed_pairs(self) -> list[PairWitness]:
-        idx = self.chosen == 0
-        return [
-            PairWitness(c, q, None)
-            for c, q in zip(self.candidates[idx].tolist(), self.partners[idx].tolist())
-        ]
+    def failed_pairs(self) -> Rows:
+        return Rows(self.pairs, self._witnesses, np.flatnonzero(self.chosen == 0))
+
+    def _witnesses(self, sel) -> Iterator[PairWitness]:
+        """PairWitness objects for the pairs sel picks, built at C level."""
+        chosen = self.chosen[sel]
+        columns = (self.candidates[sel], self.partners[sel], np.where(chosen == 0, None, chosen))
+        return _build(PairWitness, *(c.tolist() for c in columns))
 
 
 @dataclass(eq=False)
@@ -140,20 +170,16 @@ class _Ledger:
     elements: np.ndarray
     expected: np.ndarray
 
-    def entries(self, groups: np.ndarray) -> list[DedupEntry]:
-        """DedupEntry objects for the given groups, site labels included."""
-        counts = self.counts[groups]
+    def entries(self, sel) -> Iterator[DedupEntry]:
+        """DedupEntry objects, site labels included, for the groups sel picks."""
+        counts = self.counts[sel]
         offsets = np.cumsum(counts) - counts
-        pos = self.order[np.repeat(self.head[groups] - offsets, counts) + np.arange(counts.sum())]
+        pos = self.order[np.repeat(self.head[sel] - offsets, counts) + np.arange(counts.sum())]
         owner, local = _locate(self.starts, pos)
         families = self.families
         labels = iter([_site(families[o], i) for o, i in zip(owner.tolist(), local.tolist())])
-        return [
-            DedupEntry(e, tuple(islice(labels, c)), x)
-            for e, c, x in zip(
-                self.elements[groups].tolist(), counts.tolist(), self.expected[groups].tolist()
-            )
-        ]
+        sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
+        return _build(DedupEntry, self.elements[sel].tolist(), sites, self.expected[sel].tolist())
 
 
 @dataclass(eq=False)
@@ -170,40 +196,14 @@ class ConstructionReport:
     verdict: str
     # For a BoundViolation, the first claim that failed; empty otherwise.
     reason: str
-    # Ledger entries that are not the sanctioned overlap.
-    unexpected_count: int = 0
-    _ledger: Optional[_Ledger] = field(default=None, repr=False)
-
-    @property
-    def threshold_met(self) -> bool:
-        return self.distinct_qr_total >= self.required_threshold
-
-    @property
-    def bounds_met(self) -> bool:
-        return all(
-            f.distinct_contribution >= f.claimed_bound for f in self.families
-        )
+    # Elements claimed by more than one site in ascending order, and those
+    # of them that are not the sanctioned overlap.
+    dedup_ledger: Rows = field(default=_NO_ROWS, repr=False)
+    unexpected_duplicates: Rows = field(default=_NO_ROWS, repr=False)
 
     @property
     def failed_pairs(self) -> list[PairWitness]:
         return [w for f in self.families for w in f.failed_pairs]
-
-    @cached_property
-    def dedup_ledger(self) -> list[DedupEntry]:
-        """Every element claimed by more than one site, in ascending order."""
-        if self._ledger is None:
-            return []
-        return self._ledger.entries(np.arange(len(self._ledger.elements)))
-
-    @property
-    def unexpected_duplicates(self) -> list[DedupEntry]:
-        return [e for e in self.dedup_ledger if not e.expected]
-
-    def first_unexpected(self, limit: int) -> list[DedupEntry]:
-        """The first `limit` unexpected ledger entries; the rest are not built."""
-        if self._ledger is None:
-            return []
-        return self._ledger.entries(np.flatnonzero(~self._ledger.expected)[:limit])
 
     def to_json_dict(self) -> dict:
         fams = []
@@ -382,7 +382,7 @@ def _finalize(
         if g < len(ledger.elements) and ledger.elements[g] == 4 and ledger.counts[g] == 2:
             owners, _ = _locate(starts, order[ledger.head[g] : ledger.head[g] + 2])
             ledger.expected[g] = {families[o].family_id for o in owners.tolist()} == {"C1_F1", "C1_F3"}
-    unexpected = len(ledger.elements) - int(ledger.expected.sum())
+    unexpected = Rows(len(ledger.elements), ledger.entries, np.flatnonzero(~ledger.expected))
 
     # One ladder decides the verdict and, for a violation, its reason.
     short = next((f for f in families if f.distinct_contribution < f.claimed_bound), None)
@@ -416,8 +416,8 @@ def _finalize(
         distinct_qr_total=distinct,
         verdict=verdict,
         reason=reason,
-        unexpected_count=unexpected,
-        _ledger=ledger,
+        dedup_ledger=Rows(len(ledger.elements), ledger.entries),
+        unexpected_duplicates=unexpected,
     )
 
 

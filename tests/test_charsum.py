@@ -197,6 +197,9 @@ def _check_block(p, x0, u, exact=None):
     assert np.array_equal(frac < 0.5, m <= (p - 1) // 2), (p, x0)
     off = m > 0
     assert np.array_equal((u > np.rint(u))[off], (m <= (p - 1) // 2)[off]), (p, x0)
+    # half_sum_sieve's residue sum takes floor(u) as rint(u) less 1 where
+    # u does not exceed rint(u); that holds only off the multiples of p.
+    assert np.array_equal(whole[off], (np.rint(u) - (u <= np.rint(u)))[off]), (p, x0)
     assert np.array_equal((p * frac).astype(np.int64), m), (p, x0)
     for k in range(len(u)) if exact is None else exact:
         num, den = float(u[k]).as_integer_ratio()
@@ -239,6 +242,9 @@ class TestSquaresKernel:
         # exact quotient. From x0 = 0 a block passes x = 0, p, 2p, ...; with
         # 1/p rounded to nearest, 68 of the primes below 3000 would floor
         # some v = k*p to k - 1 and mark residue p - 1 instead of 0.
+        # These blocks pass multiples of p, where frac(u) may be exactly 0,
+        # so the sieve's sum(floor(u)) = sum(rint(u)) - (n - count) does
+        # not hold on them; it is only used on the half interval.
         for p in oracles.primes_trial(3, 3000):
             u = _kernel_block(p, 0, charsum._BLOCK)
             _check_block(p, 0, u, exact=range(0, charsum._BLOCK, p))

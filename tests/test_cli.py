@@ -316,17 +316,23 @@ class TestVerify:
     def test_sweep_reads_only_what_it_prints(self, capsys, monkeypatch):
         # A sweep prints counts, one reason and at most three ledger entries
         # per prime, so it builds no witness and no other ledger entry.
+        # Rows are built by construction._build, which counts them here; a
+        # row type called directly would raise.
         built = {"PairWitness": 0, "DedupEntry": 0}
+        build = construction._build
 
-        def counting(cls):
-            def make(*args):
-                built[cls.__name__] += 1
-                return cls(*args)
+        def counting(kind, *columns):
+            rows = list(build(kind, *columns))
+            built[kind.__name__] += len(rows)
+            return iter(rows)
 
-            return make
+        def refuse(cls, *args):
+            raise AssertionError(f"{cls.__name__} built outside construction._build")
 
+        monkeypatch.setattr(construction, "_build", counting)
         for cls in (construction.PairWitness, construction.DedupEntry):
-            monkeypatch.setattr(construction, cls.__name__, counting(cls))
+            guarded = type(cls.__name__, (cls,), {"__new__": refuse})
+            monkeypatch.setattr(construction, cls.__name__, guarded)
         code, out, _ = run(capsys, "verify", "--from", "21000", "--to", "21400")
         assert code == 1 and "23 primes" in out
         assert built == {"PairWitness": 0, "DedupEntry": 3 * 23}

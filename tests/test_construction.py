@@ -10,6 +10,8 @@ DedupAnomaly rather than Verified. The first outright pair failure
 (no residue of the pair inside the half interval) occurs at p = 107.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,11 @@ from halfsum.construction import (
     CASE_ONE,
     CASE_TWO,
     DEDUP_ANOMALY,
+    FamilyReport,
     SMALL_REGIME,
     SMALL_REGIME_PRIMES,
     VERIFIED,
+    _Ledger,
     build_report,
     case1_bounds,
     case2_bounds,
@@ -283,7 +287,8 @@ class TestStructuralInvariants:
                 assert report.verdict == DEDUP_ANOMALY
             else:
                 assert report.verdict == VERIFIED
-                assert report.threshold_met and report.bounds_met
+                assert report.distinct_qr_total >= report.required_threshold
+                assert all(f.distinct_contribution >= f.claimed_bound for f in report.families)
 
     def test_reason_only_for_violations(self, reports):
         for report in reports:
@@ -344,3 +349,68 @@ class TestConsistencyGuards:
         marks[8] ^= 1
         with pytest.raises(ConsistencyError):
             construct_case1(43, marks=marks)
+
+
+# Ledger size, claim count and sha256 of repr(list(dedup_ledger)), frozen
+# from the list-building ledger that the column-backed view replaced.
+LEDGER_DIGESTS = {
+    20011: (1096, 2234, "4a076f526be1870179c0f250e36accf8fc69bb1cf2c507988405df608ee2c155"),
+    20023: (1222, 2444, "9846500ce2157b4d65860698b13a66a398b861da49f479c18678e6a66884911e"),
+    99991: (6184, 12368, "d902956f0145047bae915ecac4e92cef2b4d21c6802079ca3dcf2ae83458a496"),
+}
+
+
+class TestRowViews:
+    def _views(self, report):
+        views = [report.dedup_ledger, report.unexpected_duplicates]
+        for fam in report.families:
+            views += [fam.witnesses, fam.failed_pairs]
+        return views
+
+    @pytest.mark.parametrize("p", [7, 43, 107, 131, 20011, 20023])
+    def test_indexing_and_slicing_agree_with_iteration(self, p):
+        for view in self._views(build_report(p)):
+            rows = list(view)
+            assert len(view) == len(rows) and bool(view) == bool(rows)
+            assert view[:3] == rows[:3]
+            assert view[1::2] == rows[1::2] and view[::-1] == rows[::-1]
+            if rows:
+                assert view[-1] == rows[-1] and view[0] == rows[0]
+                assert view[len(rows) // 2] == rows[len(rows) // 2]
+                assert view[np.int64(-len(rows))] == rows[0]
+            for past in (len(rows), -len(rows) - 1):
+                with pytest.raises(IndexError):
+                    view[past]
+
+    def test_unexpected_duplicates_select_from_the_ledger(self):
+        for p in (43, 47, 20011):
+            report = build_report(p)
+            ledger = list(report.dedup_ledger)
+            assert list(report.unexpected_duplicates) == [e for e in ledger if not e.expected]
+            assert report.failed_pairs == [
+                w for f in report.families for w in f.witnesses if w.chosen_qr is None
+            ]
+
+    @pytest.mark.parametrize("p", sorted(LEDGER_DIGESTS))
+    def test_ledger_entries_unchanged(self, p):
+        ledger = list(build_report(p).dedup_ledger)
+        digest = hashlib.sha256(repr(ledger).encode()).hexdigest()
+        assert (len(ledger), sum(len(e.sites) for e in ledger), digest) == LEDGER_DIGESTS[p]
+
+    def test_lengths_build_no_rows(self, monkeypatch):
+        def refuse(self, sel):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(_Ledger, "entries", refuse)
+        monkeypatch.setattr(FamilyReport, "_witnesses", refuse)
+        for p, unexpected in ((7, 0), (20011, 1095), (20023, 1222)):
+            report = build_report(p)
+            assert len(report.unexpected_duplicates) == unexpected
+            assert bool(report.unexpected_duplicates) == bool(unexpected)
+            assert len(report.dedup_ledger) >= unexpected
+            for f in report.families:
+                assert len(f.witnesses) == len(f.candidates)
+                assert bool(f.witnesses) == (len(f.candidates) > 0)
+                assert len(f.failed_pairs) == np.count_nonzero(f.chosen == 0)
+        with pytest.raises(AssertionError, match="a row was built"):
+            build_report(20011).unexpected_duplicates[:1]
