@@ -60,6 +60,11 @@ _SIEVE_LIMIT = 1 << 31
 # Full tables allocate p bytes; _qr_marks caps p to bound single-prime calls.
 _TABLE_LIMIT = 1 << 28
 
+# Longest L(1, chi) partial sum: above identity --l-check's default of 100p
+# terms at the table limit (~2.7e10), far below 2^53, where n = r + k*p is
+# no longer exact in float64. At 2.5-7 ns a term it runs a few minutes.
+_L_TERMS_LIMIT = 1 << 35
+
 
 @dataclass(frozen=True)
 class HalfSumRecord:
@@ -202,9 +207,11 @@ def l_series_partial(p: int | OddPrime, terms: int) -> float:
     time: signs[r] / (r + k*p) over a stretch of r, with no gather. Below
     _BLOCK residues a stretch is the whole period and several periods go
     in one grid of at most _BLOCK terms, so small p does not pay a Python
-    step per period.
+    step per period. Raises ResourceLimitError past _L_TERMS_LIMIT terms.
     """
     pv = as_prime(p).value
+    if terms > _L_TERMS_LIMIT:
+        raise ResourceLimitError(f"{terms} terms exceed the L-series limit {_L_TERMS_LIMIT}")
     marks = _qr_marks(pv)
     width = min(pv, _BLOCK)
     rows = max(1, _BLOCK // width)

@@ -4,7 +4,7 @@ Method one enumerates reduced binary quadratic forms of discriminant -p
 by divisor enumeration: for each odd b <= sqrt(p/3) it factors
 q = (b^2 + p)/4 = a*c with b <= a <= c, about p/15 trial divisions in
 all. The trial divisions run as numpy columns, a block of consecutive b
-at a time, and a form becomes an object only when it is read. A divisor
+at a time, and the forms are returned as columns. A divisor
 d divides q exactly when q/d in float64 is an integer: for d not
 dividing q, q/d lies at least 1/d from every integer, more than its
 rounding error of (q/d)*2^-53 whenever q < 2^53. q stays below 2^31
@@ -24,9 +24,7 @@ elements and the simple identity fails there (A(3) = 1 but 3*h = 3).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 from typing import Optional
 
@@ -45,18 +43,6 @@ _BLOCK = 1 << 13
 # Offsets within a block. Below the limit a block holds at most
 # max(_BLOCK, isqrt((1 + p)/4)) < 2^15 divisors: b = 1 has the most.
 _IOTA = np.arange(1 << 15, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ReducedForm:
-    """A reduced positive definite form ax^2 + bxy + cy^2 of discriminant -p."""
-
-    a: int
-    b: int
-    c: int
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
 
 
 @dataclass(frozen=True)
@@ -90,7 +76,6 @@ class LFunctionRecord:
     terms: int
     l_exact: float
     l_partial: float
-    tau_magnitude: float
     tolerance: float
     identity_residual: float
 
@@ -109,13 +94,12 @@ def _require_3mod4(p: int | OddPrime) -> OddPrime:
 
 
 @dataclass(eq=False)
-class ReducedForms(Sequence):
+class ReducedForms:
     """The reduced forms of one discriminant, held as columns.
 
-    Column i is the form (a[i], b[i], c[i]) with b[i] > 0. Each column
-    with b != a and a != c also stands for (a[i], -b[i], c[i]), so the
-    length needs no objects. Reading builds every ReducedForm, ordered by
-    (a, b).
+    Column i is the form (a[i], b[i], c[i]) with b[i] > 0, ordered by b,
+    then a. Each column with b != a and a != c also stands for the form
+    (a[i], -b[i], c[i]), so the length, h(-p), counts it twice.
     """
 
     a: np.ndarray
@@ -125,22 +109,9 @@ class ReducedForms(Sequence):
     def __len__(self) -> int:
         return 2 * len(self.a) - int(np.count_nonzero((self.b == self.a) | (self.a == self.c)))
 
-    @cached_property
-    def _forms(self) -> list[ReducedForm]:
-        a, b, c = self.a, self.b, self.c
-        mirror = (b != a) & (a != c)
-        a = np.concatenate((a, a[mirror]))
-        b = np.concatenate((b, -b[mirror]))
-        c = np.concatenate((c, c[mirror]))
-        order = np.lexsort((b, a))
-        return list(map(ReducedForm, a[order].tolist(), b[order].tolist(), c[order].tolist()))
-
-    def __getitem__(self, i):
-        return self._forms[i]
-
 
 def reduced_forms(p: int | OddPrime) -> ReducedForms:
-    """All reduced forms (a, b, c) with b^2 - 4ac = -p, ordered by (a, b).
+    """All reduced forms (a, b, c) with b^2 - 4ac = -p, as columns.
 
     Reduction conditions: -a < b <= a <= c, with b >= 0 whenever a = c.
     Exactly one form per equivalence class, so the count is h(-p).
@@ -153,7 +124,7 @@ def reduced_forms(p: int | OddPrime) -> ReducedForms:
     They run in blocks of consecutive b with about _BLOCK divisors in
     all, each one float64 column of d and one of q/d, exact for q < 2^53
     (see the module docstring). The result holds the factorisations as
-    columns and builds ReducedForm objects only when read.
+    columns, b > 0 only; see ReducedForms for the mirrored forms.
 
     Raises ResourceLimitError for p >= 2^31, before any work.
     """
@@ -264,7 +235,6 @@ def l_value_estimate(
         terms=terms,
         l_exact=l_exact,
         l_partial=l_partial,
-        tau_magnitude=math.sqrt(pv),
         tolerance=5.0 / math.sqrt(terms),
         identity_residual=residual,
     )

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__, primes
 from .arith import OddPrime, legendre_euler, legendre_reciprocity
-from .charsum import half_sum_direct, half_sum_sieve
+from .charsum import _L_TERMS_LIMIT, half_sum_direct, half_sum_sieve
 from .classnum import (
     class_number_character_sum,
     identity_check,
@@ -335,8 +335,9 @@ def cmd_classnum(args) -> int:
 def cmd_identity(args) -> int:
     # Each failure is printed as found, before a later check can stop the command.
     results = _sweep(args.lo, args.hi, 1, int)
-    if args.l_terms is not None and args.l_terms < 1:
-        print(f"error: --l-terms must be >= 1, got {args.l_terms}", file=sys.stderr)
+    if args.l_terms is not None and not 1 <= args.l_terms <= _L_TERMS_LIMIT:
+        bounds = f"[1, {_L_TERMS_LIMIT}]"
+        print(f"error: --l-terms must be in {bounds}, got {args.l_terms}", file=sys.stderr)
         return 2
     failures = 0
     checked = 0
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--l-terms",
         type=int,
         metavar="N",
-        help="series length for --l-check (default 100p, raised to p if below)",
+        help="series length for --l-check (default 100p, raised to p if below; at most 2^35)",
     )
     p_identity.set_defaults(func=cmd_identity)
 

@@ -12,9 +12,10 @@ evaluation, and audits three separate claims:
      sanctioned overlap (the element 4 in Case 1, which the count bounds
      already discount).
 
-Each family runs as numpy columns: its candidates and partners are
-progressions, their symbols are read from the residue marks of
-charsum._qr_marks, and every check applies to the whole family at once.
+The ratio-pair families of a case run in one pass: their candidate
+progressions form one column, the symbols of every pair are read at once
+from the residue marks of charsum._qr_marks, and each family's report is a
+slice of the shared columns.
 First-claim-wins dedup is one stable sort of all witnesses in generation
 order. Witnesses, failed pairs and the dedup ledger are read as Rows: the
 columns give their lengths, and each read builds only the rows it covers.
@@ -158,12 +159,13 @@ class _Ledger:
     """The elements claimed by more than one site, as columns.
 
     Group g is the element elements[g]. Its claims are the generation
-    indices order[head[g] : head[g] + counts[g]], in generation order, and
-    starts[f] is the generation index of family f's first pair.
+    indices order[head[g] : head[g] + counts[g]], in generation order.
+    Generation index i is pair i - starts[f] of family f = family[i].
     """
 
     families: list[FamilyReport]
     starts: np.ndarray
+    family: np.ndarray
     order: np.ndarray
     head: np.ndarray
     counts: np.ndarray
@@ -175,7 +177,8 @@ class _Ledger:
         counts = self.counts[sel]
         offsets = np.cumsum(counts) - counts
         pos = self.order[np.repeat(self.head[sel] - offsets, counts) + np.arange(counts.sum())]
-        owner, local = _locate(self.starts, pos)
+        owner = self.family[pos]
+        local = pos - self.starts[owner]
         families = self.families
         labels = iter([_site(families[o], i) for o, i in zip(owner.tolist(), local.tolist())])
         sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
@@ -286,43 +289,44 @@ def residue_flags(op: OddPrime, marks: Optional[np.ndarray] = None) -> np.ndarra
     return np.asarray(marks, dtype=bool)
 
 
-def _pair_family(
-    family_id: str,
-    bound: int,
-    cands: np.ndarray,
-    parts: np.ndarray,
+def _pair_families(
+    rules: list[tuple[str, int, int, int, Optional[int]]],
+    half: int,
+    partner: Callable[[np.ndarray], np.ndarray],
     is_qr: np.ndarray,
-    subfamily: Optional[int] = None,
-) -> FamilyReport:
-    """Run one ratio-pair family: the i-th candidate pairs with the i-th partner.
+) -> list[FamilyReport]:
+    """Run every ratio-pair family of a case in one pass, in rule order.
 
+    Rule (family_id, bound, start, step, j) pairs each candidate of the
+    progression start, start + step, ... up to half with partner(candidate).
     Exactly one member of each pair must be a residue, and that member is
-    the witness. The candidate progression sets the pair count, which must
-    equal the family's closed-form floor bound.
+    the witness. Each progression sets its family's pair count, which must
+    equal the family's closed-form floor bound. The families' reports are
+    slices of the shared columns.
     """
+    progressions = [_progression(start, half + 1, step) for _, _, start, step, _ in rules]
+    tags = [fid if j is None else f"{fid}[j={j}]" for fid, _, _, _, j in rules]
+    ends = np.cumsum([len(c) for c in progressions])
+    cands = np.concatenate(progressions)
+    parts = partner(cands)
     cand_qr = is_qr[cands]
     bad = np.flatnonzero(cand_qr == is_qr[parts])
     if bad.size:
         i = bad[0]
-        raise ConsistencyError(
-            f"{family_id} pair ({cands[i]}, {parts[i]}): not exactly one residue"
-        )
-    if len(cands) != bound:
-        tag = family_id if subfamily is None else f"{family_id}[j={subfamily}]"
-        raise ConsistencyError(f"{tag} pair count disagrees with its floor bound")
-    return FamilyReport(
-        family_id, bound, cands, parts, np.where(cand_qr, cands, parts), subfamily=subfamily
-    )
+        tag = tags[np.searchsorted(ends, i, "right")]
+        raise ConsistencyError(f"{tag} pair ({cands[i]}, {parts[i]}): not exactly one residue")
+    chosen = np.where(cand_qr, cands, parts)
+    reports = []
+    for (family_id, bound, _, _, j), tag, c, end in zip(rules, tags, progressions, ends.tolist()):
+        if len(c) != bound:
+            raise ConsistencyError(f"{tag} pair count disagrees with its floor bound")
+        s = slice(end - bound, end)
+        reports.append(FamilyReport(family_id, bound, cands[s], parts[s], chosen[s], subfamily=j))
+    return reports
 
 
 def _progression(start: int, stop: int, step: int) -> np.ndarray:
     return np.arange(start, stop, step, dtype=_INT)
-
-
-def _locate(starts: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Family index, and index within that family, of each generation index."""
-    owner = np.searchsorted(starts, pos, side="right") - 1
-    return owner, pos - starts[owner]
 
 
 def _site(fam: FamilyReport, i: int) -> str:
@@ -353,7 +357,10 @@ def _finalize(
     # credited only with elements no earlier family already produced.
     # Sorting element * n + index is that stable sort, and much faster than
     # a stable argsort.
-    starts = np.cumsum([0] + [f.pairs for f in families[:-1]])
+    sizes = [f.pairs for f in families]
+    starts = np.cumsum([0] + sizes[:-1])
+    # Fewer than 2^8 families: Case 1 has bit_length(4k+1) + 4 < 32 of them.
+    family = np.repeat(np.arange(len(families), dtype=np.uint8), sizes)
     chosen = np.concatenate([f.chosen for f in families])
     n = len(chosen)
     keys = chosen.astype(np.int64) * n + np.arange(n)
@@ -366,21 +373,20 @@ def _finalize(
     if first_failed is not None:
         head, counts = head[1:], counts[1:]
     elements = ranked[head]
-    owner, _ = _locate(starts, order[head])
+    owner = family[order[head]]
     for fam, count in zip(families, np.bincount(owner, minlength=len(families)).tolist()):
         fam.distinct_contribution = count
     distinct = len(elements)
 
     dup = counts > 1
-    ledger = _Ledger(
-        families, starts, order, head[dup], counts[dup], elements[dup], np.zeros(int(dup.sum()), bool)
-    )
+    expected = np.zeros(int(dup.sum()), bool)
+    ledger = _Ledger(families, starts, family, order, head[dup], counts[dup], elements[dup], expected)
     # Case 1 discounts exactly one overlap: the element 4, produced by the
     # first family's pair (8, 4) and by the third family's element 4.
     if case == CASE_ONE:
         g = int(np.searchsorted(ledger.elements, 4))
         if g < len(ledger.elements) and ledger.elements[g] == 4 and ledger.counts[g] == 2:
-            owners, _ = _locate(starts, order[ledger.head[g] : ledger.head[g] + 2])
+            owners = family[order[ledger.head[g] : ledger.head[g] + 2]]
             ledger.expected[g] = {families[o].family_id for o in owners.tolist()} == {"C1_F1", "C1_F3"}
     unexpected = Rows(len(ledger.elements), ledger.entries, np.flatnonzero(~ledger.expected))
 
@@ -388,8 +394,8 @@ def _finalize(
     short = next((f for f in families if f.distinct_contribution < f.claimed_bound), None)
     verdict, reason = BOUND_VIOLATION, ""
     if first_failed is not None:
-        owner, i = _locate(starts, first_failed)
-        fam = families[owner]
+        f = family[first_failed]
+        fam, i = families[f], first_failed - starts[f]
         reason = (
             f"pair ({fam.candidates[i]}, {fam.partners[i]}) in {fam.family_id}: "
             f"no residue lands in [1, {(op.value - 1) // 2}]"
@@ -451,12 +457,15 @@ def construct_case1(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     b1, b2, b3, b4, b_specials = case1_bounds(k)
-    c1 = _progression(2, half + 1, 6)
-    c2 = _progression(10, half + 1, 12)
-    families = [
-        _pair_family("C1_F1", b1, c1, c1 // 2, is_qr),
-        _pair_family("C1_F2", b2, c2, c2 // 2, is_qr),
+    f4 = [
+        ("C1_F4", (half + (3 << j)) // (6 << j), 3 << j, 6 << j, j)
+        for j in range(1, half.bit_length() + 1)
     ]
+    f4_bound_sum = sum(rule[1] for rule in f4)
+    if f4_bound_sum != b4 or f4_bound_sum != floor_half_series(Fraction(half, 6)):
+        raise ConsistencyError("per-j bounds do not sum to floor((4k+1)/6)")
+    rules = [("C1_F1", b1, 2, 6, None), ("C1_F2", b2, 10, 12, None)] + f4
+    pairs = _pair_families(rules, half, lambda c: c // 2, is_qr)
 
     # C1_F3's bound is one below its element count: the element 4 (h = 0)
     # always duplicates C1_F1's witness from the pair (8, 4).
@@ -471,31 +480,20 @@ def construct_case1(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
         raise ConsistencyError(
             f"fallback {fallback[i]} for non-residue {x[i]} mod {pv} is not a residue"
         )
-    families.append(
-        FamilyReport(
-            "C1_F3",
-            b3,
-            x,
-            np.where(x_qr | (fallback == 0), dbl, fallback),
-            np.where(x_qr, x, fallback),
-        )
+    f3 = FamilyReport(
+        "C1_F3",
+        b3,
+        x,
+        np.where(x_qr | (fallback == 0), dbl, fallback),
+        np.where(x_qr, x, fallback),
     )
-
-    f4 = []
-    for j in range(1, half.bit_length() + 1):
-        c4 = _progression(3 << j, half + 1, 6 << j)
-        f4.append(_pair_family("C1_F4", (half + (3 << j)) // (6 << j), c4, c4 // 2, is_qr, j))
-    f4_bound_sum = sum(f.claimed_bound for f in f4)
-    if f4_bound_sum != b4 or f4_bound_sum != floor_half_series(Fraction(half, 6)):
-        raise ConsistencyError("per-j bounds do not sum to floor((4k+1)/6)")
-    families.extend(f4)
 
     specials = np.array([4 * k + 1, 4 * k - 3], dtype=_INT)
     missing = specials[~is_qr[specials]]
     if missing.size:
         raise ConsistencyError(f"special element {missing[0]} must be a residue mod {pv}")
+    families = pairs[:2] + [f3] + pairs[2:]
     families.append(FamilyReport("C1_SPECIALS", b_specials, specials, pv - specials, specials))
-
     return _finalize(op, CASE_ONE, families, 2 * k + 1, (pv + 1) // 4)
 
 
@@ -521,16 +519,13 @@ def construct_case2(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
 
     b1, b2, b3, b4, b_two = case2_bounds(k)
     # Rule r pairs the odd a = r mod 8 in A with (p-a)/2.
-    rules = (
-        ("C2_F3MOD8", 3, b1),
-        ("C2_F7MOD8", 7, b2),
-        ("C2_F1MOD8", 1, b3),
-        ("C2_F5MOD8", 5, b4),
-    )
-    families = []
-    for family_id, r, bound in rules:
-        cands = _progression(r, half + 1, 8)
-        families.append(_pair_family(family_id, bound, cands, (pv - cands) // 2, is_qr))
+    rules = [
+        ("C2_F3MOD8", b1, 3, 8, None),
+        ("C2_F7MOD8", b2, 7, 8, None),
+        ("C2_F1MOD8", b3, 1, 8, None),
+        ("C2_F5MOD8", b4, 5, 8, None),
+    ]
+    families = _pair_families(rules, half, lambda c: (pv - c) // 2, is_qr)
 
     two = np.array([2], dtype=_INT)
     families.append(FamilyReport("C2_TWO", b_two, two, pv - two, two))

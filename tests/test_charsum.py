@@ -170,6 +170,14 @@ class TestLimits:
             with pytest.raises(ResourceLimitError):
                 fn(101)
 
+    def test_l_series_limit_refuses_before_any_table(self, monkeypatch):
+        # identity --l-check's default of 100p terms stays under the cap, which
+        # stays where n = r + k*p is exact in float64.
+        assert 100 * charsum._TABLE_LIMIT <= charsum._L_TERMS_LIMIT < 2**53
+        monkeypatch.setattr(charsum, "_qr_marks", None)
+        with pytest.raises(ResourceLimitError):
+            l_series_partial(7, charsum._L_TERMS_LIMIT + 1)
+
 
 def _kernel_block(p, x0, n):
     """The kernel's quotients u for the one block x = x0 .. x0 + n - 1."""

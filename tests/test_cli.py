@@ -451,6 +451,14 @@ class TestIdentity:
             assert code == 2 and out == ""
             assert "--l-terms" in err
 
+    def test_l_terms_past_the_cap(self, capsys):
+        # 10^15 terms would take days; the cap refuses them before any work.
+        for n in (str(charsum._L_TERMS_LIMIT + 1), "1000000000000000"):
+            argv = ("identity", "--from", "7", "--to", "7", "--l-check", "--l-terms", n)
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "--l-terms" in err
+
     def test_past_the_class_number_limit(self, capsys):
         code, out, err = run(
             capsys, "identity", "--from", "1000000000000", "--to", "1000000000100"

@@ -18,6 +18,7 @@ import pytest
 import oracles
 from halfsum.charsum import half_sum_sieve
 from halfsum.arith import legendre_euler
+from halfsum import construction
 from halfsum.construction import (
     BOUND_VIOLATION,
     CASE_ONE,
@@ -349,6 +350,40 @@ class TestConsistencyGuards:
         marks[8] ^= 1
         with pytest.raises(ConsistencyError):
             construct_case1(43, marks=marks)
+
+    @pytest.mark.parametrize(
+        "p, flip, family",
+        [(43, 12, r"C1_F4\[j=2\] pair \(12, 6\)"), (47, 5, r"C2_F5MOD8 pair \(5, 21\)")],
+    )
+    def test_broken_pair_names_its_family(self, p, flip, family):
+        # The flipped element lies in exactly one pair, of the named family.
+        marks = np.zeros(p, dtype=np.uint8)
+        marks[sorted(oracles.qr_set(p))] = 1
+        marks[flip] ^= 1
+        with pytest.raises(ConsistencyError, match=f"^{family}: not exactly one residue$"):
+            build_report(p, marks)
+
+    @pytest.mark.parametrize(
+        "bounds, index, p, family",
+        [
+            ("case1_bounds", 0, 43, "C1_F1"),
+            ("case1_bounds", 1, 1019, "C1_F2"),
+            ("case2_bounds", 0, 47, "C2_F3MOD8"),
+            ("case2_bounds", 3, 1031, "C2_F5MOD8"),
+        ],
+    )
+    def test_bound_mismatch_names_its_family(self, monkeypatch, bounds, index, p, family):
+        true_bounds = getattr(construction, bounds)
+
+        def off_by_one(k):
+            claimed = list(true_bounds(k))
+            claimed[index] += 1
+            return tuple(claimed)
+
+        monkeypatch.setattr(construction, bounds, off_by_one)
+        message = f"^{family} pair count disagrees with its floor bound$"
+        with pytest.raises(ConsistencyError, match=message):
+            build_report(p)
 
 
 # Ledger size, claim count and sha256 of repr(list(dedup_ledger)), frozen
