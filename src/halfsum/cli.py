@@ -33,7 +33,7 @@ from collections import Counter
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
@@ -141,7 +141,7 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterat
         raise DomainError(f"--from {lo} exceeds --to {hi}")
     if jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {jobs}")
-    primes.check_bound(hi)
+    primes.check_bound(lo, hi)
     window = primes._SEGMENT
 
     def results():
@@ -396,7 +396,14 @@ def cmd_lemma(args) -> int:
     return 1 if failures else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call and reused.
+
+    Each parse fills a fresh namespace and the parser keeps no state
+    between parses, so main() builds the seven subparsers once per process.
+    Every caller gets the same parser and must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="halfsum",
         description="Verification tools for half-interval quadratic residue counts.",

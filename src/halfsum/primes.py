@@ -29,9 +29,16 @@ def _base_primes(limit: int) -> list[int]:
     return [int(v) for v in np.flatnonzero(flags)]
 
 
-def check_bound(hi: int) -> None:
-    """Raise ResourceLimitError unless hi is below the prime-sieve limit."""
-    if hi >= _SIEVE_LIMIT:
+def check_bound(lo: int, hi: int) -> None:
+    """Raise unless the prime sieve can take the range [lo, hi].
+
+    Both bounds must be nonnegative (DomainError), and the upper bound of a
+    range that is not inverted must stay below _SIEVE_LIMIT
+    (ResourceLimitError).
+    """
+    if lo < 0 or hi < 0:
+        raise DomainError("bounds must be nonnegative")
+    if lo <= hi and hi >= _SIEVE_LIMIT:
         raise ResourceLimitError(f"range bound {hi} exceeds the prime-sieve limit {_SIEVE_LIMIT}")
 
 
@@ -52,12 +59,10 @@ def iter_primes(
         if modulus <= 0:
             raise DomainError(f"modulus must be positive, got {modulus}")
         residue %= modulus
-    if lo < 0 or hi < 0:
-        raise DomainError("bounds must be nonnegative")
+    check_bound(lo, hi)
     lo = max(lo, 2)
     if lo > hi:
         return
-    check_bound(hi)
     base = _base_primes(isqrt(hi))
     for start in range(lo, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, hi)

@@ -10,7 +10,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -25,6 +30,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    # The one line that may differ between identical calls.
+    err = re.sub(r"wall time: \S+", "wall time: -", captured.err)
+    return code, captured.out, err
 
 
 class TestSymbol:
@@ -372,6 +389,17 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--from", "3", "--to", "10", "--jobs", "0")
         assert code == 2
 
+    def test_negative_bound_leaves_out_file(self, capsys, tmp_path):
+        # Both bounds are checked before --out is opened, not when the first
+        # window of primes is read.
+        target = tmp_path / "sweep.txt"
+        target.write_text("kept\n")
+        argv = ("verify", "--from", "-5", "--to", "10", "--out", str(target))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: bounds must be nonnegative\n"
+        assert target.read_text() == "kept\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(
@@ -443,6 +471,11 @@ class TestIdentity:
 
     def test_inverted_range(self, capsys):
         assert run(capsys, "identity", "--from", "10", "--to", "5")[0] == 2
+
+    def test_negative_bound(self, capsys):
+        code, out, err = run(capsys, "identity", "--from", "-5", "--to", "10")
+        assert code == 2 and out == ""
+        assert err == "error: bounds must be nonnegative\n"
 
     def test_l_terms_below_one(self, capsys):
         for n in ("0", "-5"):
@@ -622,3 +655,89 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestOneParser:
+    # main() builds its parser once per process and reuses it on every call.
+
+    def test_built_once_per_process_and_not_on_import(self):
+        # Counted in a fresh interpreter, where no main() has run yet.
+        script = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import halfsum.cli
+counts = [len(built)]
+for argv in (["symbol", "2", "7"], ["asum", "11"], ["symbol", "3", "7"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        halfsum.cli.main(argv)
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        # The parser and its seven subparsers, all on the first call.
+        assert json.loads(done.stdout) == [0, 8, 8, 8]
+
+    def test_repeated_calls_give_identical_results(self, capsys):
+        sequence = [
+            ("identity", "--from", "3", "--to", "200"),
+            ("verify", "--from", "3", "--to", "100", "--format", "json"),
+            ("asum", "23", "--method", "direct", "--json"),
+            ("asum", "23", "--json"),
+            ("verify", "--from", "3"),
+            ("--version",),
+        ]
+        first = [outcome(capsys, argv) for argv in sequence]
+        second = [outcome(capsys, argv) for argv in sequence]
+        assert first == second
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 0]
+        assert "the following arguments are required: --to" in first[4][2]
+        # The default method follows an explicit --method direct.
+        assert json.loads(first[2][1])["method"] == "direct"
+        assert json.loads(first[3][1])["method"] == "sieve"
+
+    def test_no_value_carries_over(self):
+        parser = cli.build_parser()
+        parser.parse_args(
+            ["verify", "--from", "3", "--to", "9", "--jobs", "2", "--format", "csv"]
+            + ["--out", "x", "--strict", "--fast", "5"]
+        )
+        parser.parse_args(["asum", "23", "--method", "direct", "--json"])
+        parser.parse_args(["identity", "--from", "3", "--to", "9", "--l-check", "--l-terms", "50"])
+        parser.parse_args(["lemma", "--check-up-to", "4", "--rationals", "2", "--seed", "3"])
+        verify = vars(parser.parse_args(["verify", "--from", "1", "--to", "2"]))
+        assert verify == {
+            "command": "verify",
+            "lo": 1,
+            "hi": 2,
+            "jobs": 1,
+            "format": "text",
+            "out": None,
+            "strict": False,
+            "fast": None,
+            "func": cli.cmd_verify,
+        }
+        asum = vars(parser.parse_args(["asum", "23"]))
+        assert asum == {
+            "command": "asum",
+            "p": 23,
+            "method": "sieve",
+            "json": False,
+            "func": cli.cmd_asum,
+        }
+        identity = vars(parser.parse_args(["identity", "--from", "1", "--to", "2"]))
+        assert identity["l_check"] is False and identity["l_terms"] is None
+        lemma = vars(parser.parse_args(["lemma", "--check-up-to", "1"]))
+        assert lemma["rationals"] is None and lemma["seed"] == 20250814
