@@ -14,8 +14,10 @@ Exit codes: 0 all checks passed, 1 a mathematical claim failed
 verification, 2 usage, input or I/O error.
 
 verify and identity run through one sweep, which checks the range once
-and reads primes one sieve segment at a time; verify --jobs N maps each
-segment on one pool of at most N workers, and no more than chunks or CPUs.
+and reads primes one sieve segment at a time. verify --jobs N runs the
+sweep in this process for its first tenth of a second, and maps the rest
+on one pool of at most N workers, no more than chunks or usable CPUs; a
+shorter sweep, or one with a single usable CPU, starts no process.
 Output is deterministic: identical invocations produce byte-identical
 JSON/CSV regardless of --jobs, so wall-clock timing goes to stderr only.
 """
@@ -127,15 +129,40 @@ def _map_chunk(work: Callable[[int], object], chunk: list[int]) -> list:
     return [work(p) for p in chunk]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A --jobs sweep runs in this process until it has run this many seconds, and
+# only then opens its pool. Each worker is a fresh fork that must touch its
+# pages and caches again: two cost about 50 ms of CPU on a 2-vCPU host. So a
+# sweep that opens a pool has already done twice the work the pool costs, and
+# a long sweep gives up at most half the gate in wall time. On that host
+# (Python 3.11, cli.main in one warm process, verify --format csv, medians of
+# 15 alternating calls), wall / CPU in ms at --jobs 1, at --jobs 2 with this
+# gate, and at --jobs 2 with a pool from the first prime:
+#   audits of [21107, 22091]    46 / 46     51 / 51     57 / 100
+#   audits of [3, 5000]        155 / 155   170 / 221   136 / 249
+#   audits of [3, 10^4]        338 / 332   279 / 437   247 / 469
+#   audits of [3, 2*10^4]      647 / 647   533 / 918   517 / 963
+# With the gate the pool pays in wall time from about 0.3 s of work.
+_POOL_AFTER = 0.1
+
+
 def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterator:
     """work(p) for every prime p = 3 mod 4 in [lo, hi], in ascending p.
 
     The range, jobs and the prime-sieve limit are checked at the call,
     before the caller opens its output. Primes are then read as the result
     is iterated, one window of primes._SEGMENT integers at a time. Above one
-    job each window is split into about 8 * jobs chunks and mapped on one
-    process pool, a window ahead of the results yielded, so the workers do
-    not wait at the end of each window.
+    job the sweep runs in this process until it has run _POOL_AFTER seconds,
+    so a short sweep starts no process. Then the rest of the current window,
+    and every later window, is split into about 8 * jobs chunks and mapped on
+    one process pool, a window ahead of the results yielded, so the workers
+    do not wait at the end of each window.
     """
     if lo > hi:
         raise DomainError(f"--from {lo} exceeds --to {hi}")
@@ -148,20 +175,32 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterat
         with ExitStack() as stack:
             pool = None
             ahead = ()
+            started = time.perf_counter()
             for start in range(lo, hi + 1, window):
                 batch = primes_in_range(start, min(start + window - 1, hi), 3, 4)
-                if jobs == 1 or (pool is None and len(batch) < 2):
+                if jobs == 1:
                     yield from map(work, batch)
                     continue
+                if pool is None:
+                    done = 0
+                    while done < len(batch) and time.perf_counter() - started < _POOL_AFTER:
+                        yield work(batch[done])
+                        done += 1
+                    batch = batch[done:]
+                    # The executor may start all its workers at once, so never
+                    # ask for more than there are chunks to hand out, at least
+                    # min(jobs, primes left), or usable CPUs, and start none for
+                    # one worker. The pool keeps the count it opens with: a
+                    # window is full whenever another follows it, so that count
+                    # is short only when the gate trips within jobs primes of a
+                    # window's end.
+                    workers = min(jobs, len(batch), _usable_cpus())
+                    if workers < 2:
+                        yield from map(work, batch)
+                        continue
+                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 size = max(1, -(-len(batch) // (jobs * 8)))
                 chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
-                if pool is None:
-                    # The executor may start all its workers at once, so never
-                    # ask for more than there are chunks to hand out or CPUs.
-                    # A window is full whenever another follows it, so the chunk
-                    # count of the window that opens the pool holds throughout.
-                    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-                    pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 mapped = chain.from_iterable(pool.map(partial(_map_chunk, work), chunks))
                 yield from ahead
                 ahead = mapped
@@ -437,7 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--from", dest="lo", type=int, required=True)
     p_verify.add_argument("--to", dest="hi", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="map the sweep on at most N worker processes; a short sweep runs in this process",
+    )
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.add_argument("--out", metavar="FILE")
     p_verify.add_argument(

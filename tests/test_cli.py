@@ -25,6 +25,8 @@ from halfsum import charsum, cli, construction, primes
 from halfsum.cli import main
 from test_golden import GOLDEN
 
+POOL_AFTER = cli._POOL_AFTER
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -162,13 +164,21 @@ class TestConstruct:
         assert err.startswith("error:")
 
 
+def usable_cpus(monkeypatch, count):
+    """Makes the sweep see count CPUs that this process may run on."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Replaces the sweep's process pool with one that maps in this process.
 
     Returns the pools made, each with the worker count it was asked for
-    and the chunk count of each map. No process is started.
+    and the chunk count of each map. No process is started. The pool opens
+    at a sweep's first prime, and the sweep sees four usable CPUs.
     """
+    monkeypatch.setattr(cli, "_POOL_AFTER", 0)
+    usable_cpus(monkeypatch, 4)
     made = []
 
     class InProcessPool:
@@ -287,7 +297,6 @@ class TestVerify:
     def test_jobs_capped_at_chunk_count(self, capsys, monkeypatch, fake_pool):
         # The executor may start all its workers at once: ask for no more
         # than there are chunks or CPUs.
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         argv = ("verify", "--from", "3", "--to", "400", "--format", "csv")
         code, out, _ = run(capsys, *argv)
         for jobs in ("3", "100000"):
@@ -298,11 +307,26 @@ class TestVerify:
 
     @pytest.mark.parametrize("cpus, workers", [(None, 1), (1000, 13)])
     def test_workers_capped_at_chunks_and_cpus(self, capsys, monkeypatch, fake_pool, cpus, workers):
-        # 13 primes in [3, 100], so at most 13 chunks; an unknown CPU count
-        # counts as one.
+        # 13 primes in [3, 100], so at most 13 chunks. Without an affinity
+        # set the machine's CPU count is used, and an unknown one counts as
+        # one: one worker runs in this process and starts no pool.
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        run(capsys, "verify", "--from", "3", "--to", "100", "--jobs", "100000")
-        assert [p.max_workers for p in fake_pool] == [workers]
+        argv = ("verify", "--from", "3", "--to", "100", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "100000")[:2] == (code, out)
+        assert [p.max_workers for p in fake_pool] == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("usable, workers", [(1, []), (3, [3])], ids=["one-cpu", "three-cpus"])
+    def test_workers_capped_at_usable_cpus(self, capsys, monkeypatch, fake_pool, usable, workers):
+        # The CPUs this process may run on, not the machine's: a process
+        # pinned to one CPU of many starts no pool.
+        usable_cpus(monkeypatch, usable)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        argv = ("verify", "--from", "3", "--to", "400", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "8")[:2] == (code, out)
+        assert [p.max_workers for p in fake_pool] == workers
 
     @pytest.mark.parametrize(
         "failure",
@@ -326,6 +350,8 @@ class TestVerify:
                 raise failure
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(cli, "_POOL_AFTER", 0)
+        usable_cpus(monkeypatch, 2)
         code, out, err = run(capsys, "verify", "--from", "3", "--to", "400", "--jobs", "2")
         assert code == 2 and out == ""
         assert err.startswith("error:")
@@ -536,6 +562,8 @@ class TestSweep:
         # With 64-integer windows every range spans many windows, and the
         # --jobs 2 case maps each window on one real two-worker pool.
         monkeypatch.setattr(primes, "_SEGMENT", 64)
+        monkeypatch.setattr(cli, "_POOL_AFTER", 0)
+        usable_cpus(monkeypatch, 2)
         got_code, out, _ = run(capsys, *argv)
         assert (got_code, len(out)) == (code, size)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -555,6 +583,41 @@ class TestSweep:
         assert next(results) == 3
         assert len(fake_pool[0].maps) == 2
         assert list(results) == primes.primes_in_range(7, 3000, 3, 4)
+
+    def test_short_sweep_opens_no_pool(self, capsys, monkeypatch, fake_pool):
+        # 40 audits take a few ms, far below the time a pool needs to pay.
+        monkeypatch.setattr(cli, "_POOL_AFTER", POOL_AFTER)
+        argv = ("verify", "--from", "3", "--to", "400", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "2")[:2] == (code, out)
+        assert fake_pool == []
+
+    @pytest.mark.parametrize(
+        "segment, after, chunks",
+        [(primes._SEGMENT, 5, 16), (64, 12, 4)],
+        ids=["first-window", "later-window"],
+    )
+    def test_pool_opens_once_the_sweep_has_run(self, monkeypatch, fake_pool, segment, after, chunks):
+        # A fake clock reads one second per prime worked: the first primes
+        # run in this process until it reaches the gate, and every later
+        # prime goes to the one pool, which takes the rest of that window
+        # first. [3, 3000] has 218 primes = 3 mod 4, in one window of the
+        # sieve segment: its last 213 make 16 chunks for two jobs. In
+        # 64-integer windows [3, 66] has 9 and [67, 130] has 7, of which
+        # the gate leaves 4, one per chunk.
+        monkeypatch.setattr(primes, "_SEGMENT", segment)
+        monkeypatch.setattr(cli, "_POOL_AFTER", after)
+        clock = [0.0]
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+
+        def work(p):
+            clock[0] += 1
+            return p, len(fake_pool)
+
+        got = list(cli._sweep(3, 3000, 2, work))
+        assert [p for p, _ in got] == primes.primes_in_range(3, 3000, 3, 4)
+        assert [pools for _, pools in got] == [0] * after + [1] * (len(got) - after)
+        assert len(fake_pool) == 1 and fake_pool[0].maps[0] == chunks
 
     def test_first_result_after_one_window(self, monkeypatch):
         calls = []
