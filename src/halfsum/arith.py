@@ -9,8 +9,19 @@ from __future__ import annotations
 
 from .errors import ConsistencyError, DomainError
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
+# Deterministic Miller-Rabin witness set: no strong pseudoprime to all
+# twelve is below 318,665,857,834,031,151,167,461 (Sorenson and Webster
+# 2015). They also serve as the trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Smaller sets that suffice below a bound: (bound, witnesses), each bound
+# the least strong pseudoprime to all of its witnesses (Jaeschke 1993).
+# Above the last bound the twelve are used.
+_MR_TIERS = (
+    (3_215_031_751, _MR_WITNESSES[:4]),
+    (3_474_749_660_383, _MR_WITNESSES[:6]),
+    (341_550_071_728_321, _MR_WITNESSES[:7]),
+)
 
 # Moduli are capped to the 64-bit range so intermediates stay double-width.
 _VALUE_LIMIT = 1 << 64
@@ -30,7 +41,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for w in _MR_WITNESSES:
+    witnesses = next((ws for bound, ws in _MR_TIERS if n < bound), _MR_WITNESSES)
+    for w in witnesses:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
             continue

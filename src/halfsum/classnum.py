@@ -3,8 +3,10 @@
 Method one enumerates reduced binary quadratic forms of discriminant -p
 by divisor enumeration: for each odd b <= sqrt(p/3) it factors
 q = (b^2 + p)/4 = a*c with b <= a <= c, about p/15 trial divisions in
-all. The trial divisions run as numpy columns, a block of consecutive b
-at a time, and the forms are returned as columns. A divisor
+all. The trial divisions run as numpy columns over rows (p, b), a block
+of consecutive rows at a time, and a block may run from one prime into
+the next, so a batch of small primes shares its numpy calls. The forms
+are returned as columns. A divisor
 d divides q exactly when q/d in float64 is an integer: for d not
 dividing q, q/d lies at least 1/d from every integer, more than its
 rounding error of (q/d)*2^-53 whenever q < 2^53. q stays below 2^31
@@ -25,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -34,10 +35,12 @@ from .arith import OddPrime, as_prime, legendre_euler
 from .charsum import _SIEVE_LIMIT, half_sum_sieve, l_series_partial, qr_value_sum
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 
-# Trial divisors per block of the forms enumeration. Near 10^6 on a
-# 2-vCPU x86 host, 2^13 took 0.56 ms per prime (median of 8 processes)
-# and 2^14 0.73 ms with twice the spread; 2^12 and 2^15 were slower
-# still. A single b with more divisors than this gets a block of its own.
+# Trial divisors per block of the forms enumeration, and rows (p, b) per
+# group of primes whose rows are built at once. Near 10^6 on a 2-vCPU x86
+# host, 2^13 took 0.56 ms per prime (median of 8 processes) and 2^14
+# 0.73 ms with twice the spread; 2^12 and 2^15 were slower still. A single
+# row with more divisors than this gets a block of its own, and a single
+# prime with more rows (up to ~13.4k below the limit) a group of its own.
 _BLOCK = 1 << 13
 
 # Offsets within a block. Below the limit a block holds at most
@@ -107,54 +110,99 @@ class ReducedForms:
     c: np.ndarray
 
     def __len__(self) -> int:
-        return 2 * len(self.a) - int(np.count_nonzero((self.b == self.a) | (self.a == self.c)))
+        return int(_forms_per_column(self.a, self.b, self.c).sum())
 
 
-def reduced_forms(p: int | OddPrime) -> ReducedForms:
-    """All reduced forms (a, b, c) with b^2 - 4ac = -p, as columns.
+def _forms_per_column(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """2 for a column that also stands for its mirror (a, -b, c), else 1."""
+    return 2 - ((b == a) | (a == c))
 
-    Reduction conditions: -a < b <= a <= c, with b >= 0 whenever a = c.
-    Exactly one form per equivalence class, so the count is h(-p).
+
+def _forms_input(ps: Iterable[int | OddPrime]) -> list[OddPrime]:
+    """ps validated as primes = 3 mod 4 other than 3, and each below 2^31.
+
+    Raises ResourceLimitError for a batch that holds any p >= 2^31, before
+    any prime's forms are enumerated.
+    """
+    ops = [_require_3mod4(p) for p in ps]
+    for op in ops:
+        if op.value >= _SIEVE_LIMIT:
+            raise ResourceLimitError(
+                f"p = {op.value} exceeds the class-number limit {_SIEVE_LIMIT}"
+            )
+    return ops
+
+
+def _factorisations(pvs: list[int]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The reduced forms of -p for each p in pvs, a group of primes at a time.
 
     Divisor enumeration (Cohen, GTM 138, Alg. 5.3.5): b is odd because p
     is, and |b| <= a <= c forces |b| <= sqrt(p/3). For each odd b >= 1,
     the forms with middle coefficient +-b are the factorisations
     q = (b^2 + p)/4 = a*c with b <= a <= sqrt(q). That is about p/15
     trial divisions, against p/3 candidates for a search over (a, b).
-    They run in blocks of consecutive b with about _BLOCK divisors in
-    all, each one float64 column of d and one of q/d, exact for q < 2^53
-    (see the module docstring). The result holds the factorisations as
-    columns, b > 0 only; see ReducedForms for the mirrored forms.
+
+    A row is one (p, b). Rows are built for a group of consecutive primes
+    whose rows total at most _BLOCK, and at least one prime, so memory
+    stays that of one prime's rows near the limit. The trial divisions
+    run in blocks of consecutive rows with about _BLOCK divisors in all,
+    which may cross from one prime to the next, each block one float64
+    column of d and one of q/d, exact for q < 2^53 (see the module
+    docstring). Each group yields its hits as columns (owner, a, b, c):
+    the form (a, b, c), b > 0, of discriminant -pvs[owner], ordered by
+    owner, then b, then a. Every p must be = 3 mod 4, in (3, 2^31).
+    """
+    pv = np.asarray(pvs, dtype=np.int64)
+    # The truncated float sqrt is isqrt for values below 2^52.
+    rows = (np.sqrt(pv // 3).astype(np.int64) + 1) // 2
+    row_ends = np.cumsum(rows)
+    first = 0
+    while first < len(pv):
+        budget = row_ends[first] - rows[first] + _BLOCK
+        last = max(first + 1, int(np.searchsorted(row_ends, budget, "right")))
+        m = rows[first:last]
+        owner = np.repeat(np.arange(first, last), m)
+        b = 2 * (np.arange(len(owner)) - np.repeat(np.cumsum(m) - m, m)) + 1
+        q = (b * b + pv[owner]) // 4
+        # q >= b^2, so every row has n >= 1 trial divisors.
+        n = np.sqrt(q).astype(np.int64) - b + 1
+        ends = np.cumsum(n)
+        qf = q.astype(np.float64)
+        a_hits, row_hits = [], []
+        i = done = 0
+        while i < len(b):
+            j = max(i + 1, int(np.searchsorted(ends, done + _BLOCK, "right")))
+            nb = n[i:j]
+            starts = ends[i:j] - nb - done
+            d = np.repeat((b[i:j] - starts).astype(np.float64), nb)
+            d += _IOTA[: len(d)]
+            t = np.repeat(qf[i:j], nb)
+            t /= d
+            hit = np.flatnonzero(t == np.floor(t))
+            a_hits.append(d[hit])
+            row_hits.append(np.searchsorted(starts, hit, "right") + (i - 1))
+            done = int(ends[j - 1])
+            i = j
+        a = np.concatenate(a_hits).astype(np.int64)
+        r = np.concatenate(row_hits)
+        yield owner[r], a, b[r], q[r] // a
+        first = last
+
+
+def reduced_forms(p: int | OddPrime) -> ReducedForms:
+    """All reduced forms (a, b, c) with b^2 - 4ac = -p, as columns.
+
+    Reduction conditions: -a < b <= a <= c, with b >= 0 whenever a = c.
+    Exactly one form per equivalence class, so the count is h(-p). The
+    forms come from _factorisations run on [p]. The result holds the
+    factorisations as columns, b > 0 only; see ReducedForms for the
+    mirrored forms.
 
     Raises ResourceLimitError for p >= 2^31, before any work.
     """
-    pv = _require_3mod4(p).value
-    if pv >= _SIEVE_LIMIT:
-        raise ResourceLimitError(f"p = {pv} exceeds the class-number limit {_SIEVE_LIMIT}")
-    b = np.arange(1, isqrt(pv // 3) + 1, 2)
-    q = (b * b + pv) // 4
-    # The truncated float sqrt is isqrt(q) for q < 2^52. q >= b^2, so n >= 1.
-    n = np.sqrt(q).astype(np.int64) - b + 1
-    ends = np.cumsum(n)
-    qf = q.astype(np.float64)
-    a_hits, b_hits = [], []
-    i = done = 0
-    while i < len(b):
-        j = max(i + 1, int(np.searchsorted(ends, done + _BLOCK, "right")))
-        nb = n[i:j]
-        starts = ends[i:j] - nb - done
-        d = np.repeat((b[i:j] - starts).astype(np.float64), nb)
-        d += _IOTA[: len(d)]
-        t = np.repeat(qf[i:j], nb)
-        t /= d
-        hit = np.flatnonzero(t == np.floor(t))
-        a_hits.append(d[hit])
-        b_hits.append(b[i:j][np.searchsorted(starts, hit, "right") - 1])
-        done = int(ends[j - 1])
-        i = j
-    a = np.concatenate(a_hits).astype(np.int64)
-    b = np.concatenate(b_hits)
-    return ReducedForms(a, b, (b * b + pv) // 4 // a)
+    [op] = _forms_input([p])
+    [(_, a, b, c)] = _factorisations([op.value])
+    return ReducedForms(a, b, c)
 
 
 def reduced_forms_count(p: int | OddPrime) -> int:
@@ -183,19 +231,33 @@ def _h_from_residue_sum(pv: int, residue_sum: int) -> int:
     return h
 
 
-def identity_check(p: int | OddPrime) -> ClassNumberRecord:
-    """Check A(p) = (2 - (2/p)) * h(-p) with h computed both ways.
+def identity_checks(ps: Iterable[int | OddPrime]) -> list[ClassNumberRecord]:
+    """Check A(p) = (2 - (2/p)) * h(-p) for each p of ps, with h computed both ways.
 
-    A(p) and the residue sum behind the character-sum h come from one
-    squares pass. A mismatch is returned in the record, never raised, so
-    callers can report both sides.
+    The forms h of every prime come from one columnar pass over the
+    batch (see _factorisations), counted per prime by owner. A(p) and the
+    residue sum behind the character-sum h come from one squares pass per
+    prime. Records are returned in the order of ps. A mismatch is
+    returned in its record, never raised, so callers can report both
+    sides. Raises ResourceLimitError for a batch that holds any p >= 2^31,
+    before any work.
     """
-    op = _require_3mod4(p)
-    h_forms = reduced_forms_count(op)
-    rec = half_sum_sieve(op, sum_residues=True)
-    h_chs = _h_from_residue_sum(op.value, rec.residue_sum)
-    rhs = (2 - legendre_euler(2, op)) * h_forms
-    return ClassNumberRecord(op.value, h_forms, h_chs, rec.a_value, rhs)
+    ops = _forms_input(ps)
+    h_forms = np.zeros(len(ops))
+    for owner, a, b, c in _factorisations([op.value for op in ops]):
+        h_forms += np.bincount(owner, _forms_per_column(a, b, c), len(ops))
+    records = []
+    for op, h in zip(ops, h_forms.astype(np.int64).tolist()):
+        rec = half_sum_sieve(op, sum_residues=True)
+        h_chs = _h_from_residue_sum(op.value, rec.residue_sum)
+        rhs = (2 - legendre_euler(2, op)) * h
+        records.append(ClassNumberRecord(op.value, h, h_chs, rec.a_value, rhs))
+    return records
+
+
+def identity_check(p: int | OddPrime) -> ClassNumberRecord:
+    """identity_checks for the one prime p."""
+    return identity_checks([p])[0]
 
 
 def l_value_estimate(
@@ -210,7 +272,7 @@ def l_value_estimate(
     Also verifies the exact wiring A(p) = (sqrt(p)/pi)*(2-(2/p))*l_exact
     to within 1e-9; a larger residual means a plumbing bug, and raises.
     h (the character-sum class number) and a_value (A(p)) are computed
-    here unless a caller that already has them, such as identity_check's
+    here unless a caller that already has them, such as an identity_checks
     record, passes them on.
     """
     op = _require_3mod4(p)

@@ -14,10 +14,11 @@ Exit codes: 0 all checks passed, 1 a mathematical claim failed
 verification, 2 usage, input or I/O error.
 
 verify and identity run through one sweep, which checks the range once
-and reads primes one sieve segment at a time. verify --jobs N runs the
-sweep in this process for its first tenth of a second, and maps the rest
-on one pool of at most N workers, no more than chunks or usable CPUs; a
-shorter sweep, or one with a single usable CPU, starts no process.
+and reads primes one sieve segment at a time; identity counts the reduced
+forms of a whole segment's primes in one columnar pass. verify --jobs N
+runs the sweep in this process for its first tenth of a second, and maps
+the rest on one pool of at most N workers, no more than chunks or usable
+CPUs; a shorter sweep, or one with a single usable CPU, starts no process.
 Output is deterministic: identical invocations produce byte-identical
 JSON/CSV regardless of --jobs, so wall-clock timing goes to stderr only.
 """
@@ -46,7 +47,7 @@ from .arith import OddPrime, legendre_euler, legendre_reciprocity
 from .charsum import _L_TERMS_LIMIT, half_sum_direct, half_sum_sieve
 from .classnum import (
     class_number_character_sum,
-    identity_check,
+    identity_checks,
     l_value_estimate,
     reduced_forms_count,
 )
@@ -125,8 +126,14 @@ def _check_prime(p: int, fast_bound: Optional[int]):
     return row, violations, anomaly
 
 
-def _map_chunk(work: Callable[[int], object], chunk: list[int]) -> list:
-    return [work(p) for p in chunk]
+def _check_primes(ps: list[int], fast_bound: Optional[int]) -> list:
+    """_check_prime for each prime of ps, in order: verify's sweep work."""
+    return [_check_prime(p, fast_bound) for p in ps]
+
+
+def _identity_records(ps: list[int]) -> list:
+    """identity's sweep work: the identity records of ps in order, p = 3 skipped."""
+    return identity_checks([p for p in ps if p != 3])
 
 
 def _usable_cpus() -> int:
@@ -152,17 +159,21 @@ def _usable_cpus() -> int:
 _POOL_AFTER = 0.1
 
 
-def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterator:
-    """work(p) for every prime p = 3 mod 4 in [lo, hi], in ascending p.
+def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> Iterator:
+    """The results of work over every prime p = 3 mod 4 in [lo, hi], in ascending p.
 
-    The range, jobs and the prime-sieve limit are checked at the call,
-    before the caller opens its output. Primes are then read as the result
-    is iterated, one window of primes._SEGMENT integers at a time. Above one
-    job the sweep runs in this process until it has run _POOL_AFTER seconds,
-    so a short sweep starts no process. Then the rest of the current window,
-    and every later window, is split into about 8 * jobs chunks and mapped on
-    one process pool, a window ahead of the results yielded, so the workers
-    do not wait at the end of each window.
+    work takes a list of ascending primes and returns their results in
+    order, so it may batch them; it must be picklable for a pool. The
+    results yielded are those lists, chained. The range, jobs and the
+    prime-sieve limit are checked at the call, before the caller opens its
+    output. Primes are then read as the result is iterated, one window of
+    primes._SEGMENT integers at a time. At one job, work gets each window
+    whole. Above one job the sweep runs in this process, work getting one
+    prime at a time, until it has run _POOL_AFTER seconds, so a short sweep
+    starts no process. Then the rest of the current window, and every later
+    window, is split into about 8 * jobs chunks and mapped on one process
+    pool, work getting each chunk, a window ahead of the results yielded, so
+    the workers do not wait at the end of each window.
     """
     if lo > hi:
         raise DomainError(f"--from {lo} exceeds --to {hi}")
@@ -179,12 +190,12 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterat
             for start in range(lo, hi + 1, window):
                 batch = primes_in_range(start, min(start + window - 1, hi), 3, 4)
                 if jobs == 1:
-                    yield from map(work, batch)
+                    yield from work(batch)
                     continue
                 if pool is None:
                     done = 0
                     while done < len(batch) and time.perf_counter() - started < _POOL_AFTER:
-                        yield work(batch[done])
+                        yield from work([batch[done]])
                         done += 1
                     batch = batch[done:]
                     # The executor may start all its workers at once, so never
@@ -196,12 +207,12 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[int], object]) -> Iterat
                     # window's end.
                     workers = min(jobs, len(batch), _usable_cpus())
                     if workers < 2:
-                        yield from map(work, batch)
+                        yield from work(batch)
                         continue
                     pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 size = max(1, -(-len(batch) // (jobs * 8)))
                 chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
-                mapped = chain.from_iterable(pool.map(partial(_map_chunk, work), chunks))
+                mapped = chain.from_iterable(pool.map(work, chunks))
                 yield from ahead
                 ahead = mapped
             yield from ahead
@@ -333,7 +344,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = _sweep(args.lo, args.hi, args.jobs, partial(_check_prime, fast_bound=args.fast))
+    results = _sweep(args.lo, args.hi, args.jobs, partial(_check_primes, fast_bound=args.fast))
     started = time.monotonic()
     with _output(args.out) as out:
         rows, violations, anomalies = [], [], []
@@ -372,21 +383,16 @@ def cmd_classnum(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    # Each failure is printed as found, before a later check can stop the command.
-    results = _sweep(args.lo, args.hi, 1, int)
+    # A prime's failure is printed before its --l-check can stop the command.
+    results = _sweep(args.lo, args.hi, 1, _identity_records)
     if args.l_terms is not None and not 1 <= args.l_terms <= _L_TERMS_LIMIT:
         bounds = f"[1, {_L_TERMS_LIMIT}]"
         print(f"error: --l-terms must be in {bounds}, got {args.l_terms}", file=sys.stderr)
         return 2
     failures = 0
     checked = 0
-    skipped_three = False
-    for p in results:
-        if p == 3:
-            skipped_three = True
-            continue
-        op = OddPrime(p)
-        rec = identity_check(op)
+    for rec in results:
+        p = rec.p
         checked += 1
         if not rec.ok:
             failures += 1
@@ -396,7 +402,7 @@ def cmd_identity(args) -> int:
             )
         if args.l_check:
             terms = max(args.l_terms or 100 * p, p)
-            lrec = l_value_estimate(op, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
+            lrec = l_value_estimate(p, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
             if not lrec.within_tolerance:
                 failures += 1
                 print(
@@ -404,7 +410,7 @@ def cmd_identity(args) -> int:
                     f"{lrec.l_exact:.9f} by more than {lrec.tolerance:.2e} "
                     f"at {lrec.terms} terms"
                 )
-    if skipped_three:
+    if args.lo <= 3 <= args.hi:
         print("p=3 skipped (excluded from class-number operations)")
     print(f"identity checked for {checked} primes in [{args.lo}, {args.hi}]; failures: {failures}")
     return 1 if failures else 0

@@ -29,6 +29,12 @@ class TestIsPrime:
         # Mersenne prime 2^61 - 1 and a neighbouring composite.
         assert is_prime(2305843009213693951)
         assert not is_prime(2305843009213693953)
+        # The largest prime below 2^64, the modulus cap.
+        assert is_prime(2**64 - 59)
+        # Each witness tier's bound is a strong pseudoprime to that tier's
+        # witnesses, so it must be tested with the next tier's.
+        for n in (3215031751, 3474749660383, 341550071728321):
+            assert not is_prime(n), n
         # Carmichael number: fools Fermat, not Miller-Rabin.
         assert not is_prime(561)
 

@@ -12,6 +12,7 @@ from halfsum import classnum
 from halfsum.classnum import (
     class_number_character_sum,
     identity_check,
+    identity_checks,
     l_value_estimate,
     reduced_forms,
     reduced_forms_count,
@@ -45,14 +46,20 @@ class TestReducedForms:
             assert np.all((0 < b) & (b <= a) & (a <= c)), p
 
     def test_against_brute_search(self):
-        for p in oracles.primes_trial(7, 600, 3, 4):
+        ps = oracles.primes_trial(7, 600, 3, 4)
+        for p in ps:
             forms = reduced_forms(p)
             assert _expanded(forms) == oracles.forms_brute(p), p
             assert len(forms) == len(oracles.forms_brute(p)), p
+        # One batch counts the same forms, its blocks crossing from one
+        # prime to the next.
+        brute = [len(oracles.forms_brute(p)) for p in ps]
+        assert [rec.h_forms for rec in identity_checks(ps)] == brute
 
     def test_blocks_split_between_values_of_b(self, monkeypatch):
         # Blocks of 7 trial divisors: some hold several b, and a b with more
-        # divisors than that gets a block of its own.
+        # divisors than that gets a block of its own. In a batch, groups of
+        # at most 7 rows: a prime with more rows gets a group of its own.
         monkeypatch.setattr(classnum, "_BLOCK", 7)
         self.test_against_brute_search()
 
@@ -72,12 +79,30 @@ class TestReducedForms:
 
     def test_largest_prime_below_the_limit(self):
         assert reduced_forms_count(2147483647) == 19865
+        # Its ~13.4k rows pass a group's budget of _BLOCK rows: in a batch
+        # they make a group of their own between groups of small primes.
+        small = oracles.primes_trial(7, 300, 3, 4)
+        recs = identity_checks(small + [2147483647] + small)
+        expected = [reduced_forms_count(p) for p in small]
+        assert [rec.h_forms for rec in recs] == expected + [19865] + expected
+        assert all(rec.ok for rec in recs)
 
-    def test_limit_matches_the_character_sum(self):
+    def test_limit_matches_the_character_sum(self, monkeypatch, squares_passes):
         # 2147483659 is the first prime = 3 mod 4 past 2^31.
         for method in (reduced_forms, reduced_forms_count, class_number_character_sum):
             with pytest.raises(ResourceLimitError):
                 method(2147483659)
+        # A batch that holds one such prime stops before any prime's forms
+        # are enumerated or its residues squared.
+        def refuse(pvs):
+            raise AssertionError(f"forms enumerated for {pvs}")
+
+        monkeypatch.setattr(classnum, "_factorisations", refuse)
+        squares_passes.clear()
+        for batch in ([7, 11, 2147483659], [2147483659, 7]):
+            with pytest.raises(ResourceLimitError, match="class-number limit"):
+                identity_checks(batch)
+        assert squares_passes == []
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -134,6 +159,13 @@ class TestIdentity:
             rec = identity_check(p)
             assert rec.ok, p
             assert rec.methods_agree and rec.identity_holds
+        # One batch over [7, 20000], ~29k rows in four groups of at most _BLOCK,
+        # gives each prime the h of its own enumeration, in order.
+        ps = oracles.primes_trial(7, 20000, 3, 4)
+        recs = identity_checks(ps)
+        assert [rec.p for rec in recs] == ps
+        assert [rec.h_forms for rec in recs] == [reduced_forms_count(p) for p in ps]
+        assert all(rec.ok for rec in recs)
 
     def test_validates_the_prime_once(self, is_prime_calls):
         for p in (7919, 1000003):

@@ -536,14 +536,14 @@ class TestIdentity:
 
     def test_failure_printed_before_l_check_limit(self, capsys, monkeypatch):
         # A prime's identity failure is printed before its --l-check stops
-        # the command at the table limit.
-        real = cli.identity_check
+        # the command at the table limit, though the whole batch is checked
+        # before either.
+        real = cli._identity_records
 
-        def failing_at_43(op):
-            rec = real(op)
-            return dataclasses.replace(rec, h_forms=0) if rec.p == 43 else rec
+        def failing_at_43(ps):
+            return [dataclasses.replace(r, h_forms=0) if r.p == 43 else r for r in real(ps)]
 
-        monkeypatch.setattr(cli, "identity_check", failing_at_43)
+        monkeypatch.setattr(cli, "_identity_records", failing_at_43)
         monkeypatch.setattr(charsum, "_TABLE_LIMIT", 40)
         code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
         assert code == 2 and out == "p=43: h_forms=0 h_charsum=1 A=3 rhs=3\n"
@@ -559,8 +559,9 @@ class TestSweep:
         ids=[" ".join(g[0]) for g in GOLDEN if g[0][0] in ("verify", "identity")],
     )
     def test_output_does_not_depend_on_the_window(self, capsys, monkeypatch, argv, code, size, digest):
-        # With 64-integer windows every range spans many windows, and the
-        # --jobs 2 case maps each window on one real two-worker pool.
+        # With 64-integer windows every range spans many windows, so identity
+        # counts its forms in many small batches, and the --jobs 2 case maps
+        # each window on one real two-worker pool.
         monkeypatch.setattr(primes, "_SEGMENT", 64)
         monkeypatch.setattr(cli, "_POOL_AFTER", 0)
         usable_cpus(monkeypatch, 2)
@@ -579,7 +580,7 @@ class TestSweep:
         # The pool gets a window's chunks before the last window's results
         # are read, so its workers never wait at a window's end.
         monkeypatch.setattr(primes, "_SEGMENT", 64)
-        results = cli._sweep(3, 3000, 3, abs)
+        results = cli._sweep(3, 3000, 3, list)
         assert next(results) == 3
         assert len(fake_pool[0].maps) == 2
         assert list(results) == primes.primes_in_range(7, 3000, 3, 4)
@@ -610,9 +611,9 @@ class TestSweep:
         clock = [0.0]
         monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
 
-        def work(p):
-            clock[0] += 1
-            return p, len(fake_pool)
+        def work(ps):
+            clock[0] += len(ps)
+            return [(p, len(fake_pool)) for p in ps]
 
         got = list(cli._sweep(3, 3000, 2, work))
         assert [p for p, _ in got] == primes.primes_in_range(3, 3000, 3, 4)
@@ -627,7 +628,7 @@ class TestSweep:
             return primes.primes_in_range(lo, hi, *rest)
 
         monkeypatch.setattr(cli, "primes_in_range", recording)
-        results = cli._sweep(3, 10**12, 1, lambda p: p)
+        results = cli._sweep(3, 10**12, 1, list)
         assert calls == []
         assert next(results) == 3
         [(lo, hi)] = calls
