@@ -192,12 +192,9 @@ def qr_table(p: int | OddPrime) -> bytes:
 
 
 def qr_value_sum(p: int | OddPrime) -> int:
-    """Exact sum of all quadratic residues in [1, p-1], in Python integers."""
-    pv = as_prime(p).value
-    return sum(
-        _residue_sum(pv, c0, c1, len(u), int(np.floor(u, out=w).sum()))
-        for c0, c1, u, w in _quotients(pv)
-    )
+    """Exact sum of all quadratic residues in [1, p-1], in Python integers:
+    the residue sum of the sieve's squares pass."""
+    return half_sum_sieve(p, sum_residues=True).residue_sum
 
 
 def l_series_partial(p: int | OddPrime, terms: int) -> float:

@@ -179,8 +179,11 @@ def _factorisations(pvs: list[int]) -> Iterator[tuple[np.ndarray, ...]]:
             t = np.repeat(qf[i:j], nb)
             t /= d
             hit = np.flatnonzero(t == np.floor(t))
-            a_hits.append(d[hit])
-            row_hits.append(np.searchsorted(starts, hit, "right") + (i - 1))
+            # Most blocks of a large p have no hit. A group is never without
+            # one: each p has the form (1, 1, (1 + p)/4).
+            if hit.size:
+                a_hits.append(d[hit])
+                row_hits.append(np.searchsorted(starts, hit, "right") + (i - 1))
             done = int(ends[j - 1])
             i = j
         a = np.concatenate(a_hits).astype(np.int64)

@@ -16,9 +16,10 @@ verification, 2 usage, input or I/O error.
 verify and identity run through one sweep, which checks the range once
 and reads primes one sieve segment at a time; identity counts the reduced
 forms of a whole segment's primes in one columnar pass. verify --jobs N
-runs the sweep in this process for its first tenth of a second, and maps
-the rest on one pool of at most N workers, no more than chunks or usable
-CPUs; a shorter sweep, or one with a single usable CPU, starts no process.
+runs the sweep in this process for its first tenth of a second, in slices
+of at most 8 primes, and maps the rest on one pool of at most N workers,
+no more than chunks or usable CPUs; a shorter sweep, or one with a single
+usable CPU, starts no process.
 Output is deterministic: identical invocations produce byte-identical
 JSON/CSV regardless of --jobs, so wall-clock timing goes to stderr only.
 """
@@ -40,8 +41,6 @@ from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
-import numpy as np
-
 from . import __version__, primes
 from .arith import OddPrime, legendre_euler, legendre_reciprocity
 from .charsum import _L_TERMS_LIMIT, half_sum_direct, half_sum_sieve
@@ -60,7 +59,6 @@ from .construction import (
     VERIFIED,
     build_report,
     classify_case,
-    residue_flags,
 )
 from .errors import DomainError, ResourceLimitError
 from .floorlemma import floor_half_series
@@ -85,27 +83,25 @@ def _check_prime(p: int, fast_bound: Optional[int]):
 
     Returns (row, violations, anomaly) where anomaly is None or a
     (p, ledger excerpt) pair. Above fast_bound the construction audit is
-    skipped, A(p) comes from the sieve and the row verdict is SieveOnly.
+    skipped, A(p) comes from the sieve and the row verdict is SieveOnly;
+    otherwise A(p) is the audit's, counted from the residue flags it reads.
     The prime is validated once here and passed on validated, and its
-    residues are squared once either way.
+    residues are squared at most once either way.
     """
     op = OddPrime(p)
-    sieve_only = fast_bound is not None and p > fast_bound
-    if sieve_only:
-        a_value = half_sum_sieve(op).a_value
+    if fast_bound is not None and p > fast_bound:
+        report, a_value = None, half_sum_sieve(op).a_value
     else:
-        is_qr = residue_flags(op)
-        half = (p - 1) // 2
-        a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
+        report = build_report(op)
+        a_value = report.a_value
     violations: list[tuple[int, str, str]] = []
     if a_value <= 0:
         violations.append((p, "TheoremViolation", f"A({p}) = {a_value} <= 0"))
 
-    if sieve_only:
+    if report is None:
         row = RangeRow(p, classify_case(op), a_value, 0, 0, "SieveOnly")
         return row, violations, None
 
-    report = build_report(op, is_qr)
     if report.verdict == BOUND_VIOLATION:
         violations.append((p, BOUND_VIOLATION, report.reason))
     anomaly = None
@@ -158,6 +154,10 @@ def _usable_cpus() -> int:
 # With the gate the pool pays in wall time from about 0.3 s of work.
 _POOL_AFTER = 0.1
 
+# Until the gate trips, work gets the primes in slices of at most this many,
+# so it can batch them, and the clock is read between slices.
+_GATE_SLICE = 8
+
 
 def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> Iterator:
     """The results of work over every prime p = 3 mod 4 in [lo, hi], in ascending p.
@@ -168,12 +168,13 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> It
     prime-sieve limit are checked at the call, before the caller opens its
     output. Primes are then read as the result is iterated, one window of
     primes._SEGMENT integers at a time. At one job, work gets each window
-    whole. Above one job the sweep runs in this process, work getting one
-    prime at a time, until it has run _POOL_AFTER seconds, so a short sweep
-    starts no process. Then the rest of the current window, and every later
-    window, is split into about 8 * jobs chunks and mapped on one process
-    pool, work getting each chunk, a window ahead of the results yielded, so
-    the workers do not wait at the end of each window.
+    whole. Above one job the sweep runs in this process, work getting
+    slices of at most _GATE_SLICE primes, until it has run _POOL_AFTER
+    seconds, so a short sweep starts no process. Then the rest of the
+    current window, and every later window, is split into about 8 * jobs
+    chunks and mapped on one process pool, work getting each chunk, a
+    window ahead of the results yielded, so the workers do not wait at the
+    end of each window.
     """
     if lo > hi:
         raise DomainError(f"--from {lo} exceeds --to {hi}")
@@ -195,8 +196,8 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> It
                 if pool is None:
                     done = 0
                     while done < len(batch) and time.perf_counter() - started < _POOL_AFTER:
-                        yield from work([batch[done]])
-                        done += 1
+                        yield from work(batch[done : done + _GATE_SLICE])
+                        done += _GATE_SLICE
                     batch = batch[done:]
                     # The executor may start all its workers at once, so never
                     # ask for more than there are chunks to hand out, at least

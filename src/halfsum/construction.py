@@ -31,8 +31,12 @@ Failures are never patched over; they become structured verdicts:
 
 Case 1 covers p = 8k+3 (where 2 is a non-residue), Case 2 covers p = 8k+7
 (where 2 is a residue); primes p <= 31 are verified directly from A(p).
-Primes above _CONSTRUCT_LIMIT are refused, which bounds the memory of one
-audit.
+
+build_report(p) is the one entry point. It classifies p, refuses p above
+_CONSTRUCT_LIMIT before any table is built (which bounds the memory of one
+audit), reads the residue flags once from charsum._qr_marks, checks (2/p)
+and (-1/p) against them, runs the case's families on them and reports
+A(p) counted from the same flags.
 """
 
 from __future__ import annotations
@@ -196,6 +200,8 @@ class ConstructionReport:
     required_threshold: int
     claimed_total: int
     distinct_qr_total: int
+    # A(p), counted from the residue flags the audit read; not in the JSON.
+    a_value: int
     verdict: str
     # For a BoundViolation, the first claim that failed; empty otherwise.
     reason: str
@@ -274,21 +280,6 @@ def case2_bounds(k: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def residue_flags(op: OddPrime, marks: Optional[np.ndarray] = None) -> np.ndarray:
-    """Boolean residue flags on [0, p), from marks or from charsum._qr_marks.
-
-    Refuses p above _CONSTRUCT_LIMIT before any table is built, so a caller
-    that wants the flags for an audit gets them under the audit's cap.
-    """
-    if op.value > _CONSTRUCT_LIMIT:
-        raise ResourceLimitError(
-            f"p = {op.value} exceeds the construction limit {_CONSTRUCT_LIMIT}"
-        )
-    if marks is None:
-        marks = _qr_marks(op.value)
-    return np.asarray(marks, dtype=bool)
-
-
 def _pair_families(
     rules: list[tuple[str, int, int, int, Optional[int]]],
     half: int,
@@ -346,6 +337,7 @@ def _finalize(
     families: list[FamilyReport],
     claimed_total: int,
     threshold: int,
+    a_value: int,
 ) -> ConstructionReport:
     """Dedup accounting, verdict and reason for an executed family system."""
     if claimed_total != sum(f.claimed_bound for f in families):
@@ -420,6 +412,7 @@ def _finalize(
         required_threshold=threshold,
         claimed_total=claimed_total,
         distinct_qr_total=distinct,
+        a_value=a_value,
         verdict=verdict,
         reason=reason,
         dedup_ledger=Rows(len(ledger.elements), ledger.entries),
@@ -427,8 +420,8 @@ def _finalize(
     )
 
 
-def construct_case1(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> ConstructionReport:
-    """Execute the Case 1 (p = 8k+3) family system and audit it.
+def _case1_families(pv: int, k: int, is_qr: np.ndarray) -> list[FamilyReport]:
+    """The Case 1 (p = 8k+3) family system, run on the residue flags is_qr.
 
     Families over A = [1, 4k+1], with 2 a non-residue:
 
@@ -439,23 +432,8 @@ def construct_case1(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
       C1_F4       pairs 3*2^j*m with 3*2^(j-1)*m for odd m, one subfamily
                   per j up to the bit length of 4k+1
       C1_SPECIALS (p-1)/2 = 4k+1 and (p-9)/2 = 4k-3, residues outright
-
-    marks (length p, nonzero at the residues) replaces the residue table:
-    verify passes the flags it has already built, and a test can inject a
-    wrong one.
     """
-    op = as_prime(p)
-    if op.residue_mod_8 != 3 or op.value <= 31:
-        raise DomainError(f"Case 1 requires p = 3 mod 8 and p > 31, got {op.value}")
-    pv, k = op.value, op.k
     half = 4 * k + 1
-    is_qr = residue_flags(op, marks)
-
-    if is_qr[2]:
-        raise ConsistencyError(f"(2/{pv}) must be -1 when p = 3 mod 8")
-    if is_qr[pv - 1]:
-        raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
-
     b1, b2, b3, b4, b_specials = case1_bounds(k)
     f4 = [
         ("C1_F4", (half + (3 << j)) // (6 << j), 3 << j, 6 << j, j)
@@ -494,29 +472,17 @@ def construct_case1(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
         raise ConsistencyError(f"special element {missing[0]} must be a residue mod {pv}")
     families = pairs[:2] + [f3] + pairs[2:]
     families.append(FamilyReport("C1_SPECIALS", b_specials, specials, pv - specials, specials))
-    return _finalize(op, CASE_ONE, families, 2 * k + 1, (pv + 1) // 4)
+    return families
 
 
-def construct_case2(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> ConstructionReport:
-    """Execute the Case 2 (p = 8k+7) family system and audit it.
+def _case2_families(pv: int, k: int, is_qr: np.ndarray) -> list[FamilyReport]:
+    """The Case 2 (p = 8k+7) family system, run on the residue flags is_qr.
 
     Over A = [1, 4k+3], with 2 a residue, every odd a in A pairs with
     (p-a)/2, which lies in [2k+2, 4k+3] and has the opposite symbol.
     The four families cover odd residue classes mod 8, plus the singleton
-    family {2}. marks works as in construct_case1.
+    family {2}.
     """
-    op = as_prime(p)
-    if op.residue_mod_8 != 7 or op.value <= 31:
-        raise DomainError(f"Case 2 requires p = 7 mod 8 and p > 31, got {op.value}")
-    pv, k = op.value, op.k
-    half = 4 * k + 3
-    is_qr = residue_flags(op, marks)
-
-    if not is_qr[2]:
-        raise ConsistencyError(f"(2/{pv}) must be +1 when p = 7 mod 8")
-    if is_qr[pv - 1]:
-        raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
-
     b1, b2, b3, b4, b_two = case2_bounds(k)
     # Rule r pairs the odd a = r mod 8 in A with (p-a)/2.
     rules = [
@@ -525,26 +491,20 @@ def construct_case2(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> Co
         ("C2_F1MOD8", b3, 1, 8, None),
         ("C2_F5MOD8", b4, 5, 8, None),
     ]
-    families = _pair_families(rules, half, lambda c: (pv - c) // 2, is_qr)
-
+    families = _pair_families(rules, 4 * k + 3, lambda c: (pv - c) // 2, is_qr)
     two = np.array([2], dtype=_INT)
     families.append(FamilyReport("C2_TWO", b_two, two, pv - two, two))
+    return families
 
-    return _finalize(op, CASE_TWO, families, 2 * k + 3, (pv + 1) // 4)
 
-
-def verify_small_regime(p: int | OddPrime) -> ConstructionReport:
+def _small_regime(op: OddPrime) -> ConstructionReport:
     """Direct verification A(p) > 0 for p = 3 mod 4 with p <= 31.
 
     The family system assumes p > 31; below that the half interval is
-    checked outright, so families are empty and distinct_qr_total is the
-    true residue count in [1, (p-1)/2].
+    checked outright, symbol by symbol, with no residue table, so families
+    are empty and distinct_qr_total is the true residue count in
+    [1, (p-1)/2].
     """
-    op = as_prime(p)
-    if op.value % 4 != 3:
-        raise DomainError("construction applies only to p = 3 mod 4")
-    if op.value > 31:
-        raise DomainError(f"small regime covers p <= 31, got {op.value}")
     rec = half_sum_direct(op)
     threshold = (op.value + 1) // 4
     # For p = 3 mod 4, A(p) <= 0 exactly when the residue count misses the
@@ -557,21 +517,40 @@ def verify_small_regime(p: int | OddPrime) -> ConstructionReport:
         required_threshold=threshold,
         claimed_total=0,
         distinct_qr_total=rec.qr_count,
+        a_value=rec.a_value,
         verdict=VERIFIED if rec.a_value > 0 else BOUND_VIOLATION,
         reason="" if rec.a_value > 0 else f"distinct {rec.qr_count} < threshold {threshold}",
     )
 
 
-def build_report(p: int | OddPrime, marks: Optional[np.ndarray] = None) -> ConstructionReport:
-    """Dispatch to the right constructor for any prime p = 3 mod 4.
+def build_report(p: int | OddPrime) -> ConstructionReport:
+    """Run and audit the construction for any prime p = 3 mod 4.
 
-    marks, when given, are the residue marks or flags the caller already
-    holds (see residue_flags); the small regime does not read them.
+    This is the audit's one entry point (see the module docstring). Raises
+    DomainError for any other p, ResourceLimitError above _CONSTRUCT_LIMIT
+    before any table is built, and ConsistencyError when the residue flags
+    contradict (2/p), (-1/p) or a family's rule.
     """
     op = as_prime(p)
     case = classify_case(op)
     if case == SMALL_REGIME:
-        return verify_small_regime(op)
+        return _small_regime(op)
+    pv, k = op.value, op.k
+    if pv > _CONSTRUCT_LIMIT:
+        raise ResourceLimitError(f"p = {pv} exceeds the construction limit {_CONSTRUCT_LIMIT}")
+    is_qr = _qr_marks(pv).view(bool)
+
+    if case == CASE_ONE and is_qr[2]:
+        raise ConsistencyError(f"(2/{pv}) must be -1 when p = 3 mod 8")
+    if case == CASE_TWO and not is_qr[2]:
+        raise ConsistencyError(f"(2/{pv}) must be +1 when p = 7 mod 8")
+    if is_qr[pv - 1]:
+        raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
+
     if case == CASE_ONE:
-        return construct_case1(op, marks)
-    return construct_case2(op, marks)
+        families, claimed_total = _case1_families(pv, k, is_qr), 2 * k + 1
+    else:
+        families, claimed_total = _case2_families(pv, k, is_qr), 2 * k + 3
+    half = (pv - 1) // 2
+    a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
+    return _finalize(op, case, families, claimed_total, (pv + 1) // 4, a_value)

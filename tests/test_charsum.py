@@ -131,9 +131,9 @@ class TestQrHelpers:
 
     @pytest.mark.parametrize("block", [charsum._BLOCK, 7])
     def test_both_residue_sums_match_brute_across_blocks(self, monkeypatch, block):
-        # qr_value_sum (classnum --method charsum) and the sieve's residue_sum
-        # (identity_check) share one block-sum routine; short blocks make
-        # every prime span several, with c0, c1 != 0 in all but the first.
+        # qr_value_sum (classnum --method charsum) is the sieve's residue_sum
+        # (identity_check); short blocks make every prime span several, with
+        # c0, c1 != 0 in all but the first.
         monkeypatch.setattr(charsum, "_BLOCK", block)
         for p in oracles.primes_trial(3, 400) + [1000003]:
             brute = sum(x * x % p for x in range(1, (p + 1) // 2))

@@ -594,30 +594,37 @@ class TestSweep:
         assert fake_pool == []
 
     @pytest.mark.parametrize(
-        "segment, after, chunks",
-        [(primes._SEGMENT, 5, 16), (64, 12, 4)],
+        "segment, after, slices, chunks",
+        [(primes._SEGMENT, 5, [8], 15), (256, 35, [8, 8, 8, 5, 8], 14)],
         ids=["first-window", "later-window"],
     )
-    def test_pool_opens_once_the_sweep_has_run(self, monkeypatch, fake_pool, segment, after, chunks):
-        # A fake clock reads one second per prime worked: the first primes
-        # run in this process until it reaches the gate, and every later
-        # prime goes to the one pool, which takes the rest of that window
-        # first. [3, 3000] has 218 primes = 3 mod 4, in one window of the
-        # sieve segment: its last 213 make 16 chunks for two jobs. In
-        # 64-integer windows [3, 66] has 9 and [67, 130] has 7, of which
-        # the gate leaves 4, one per chunk.
+    def test_pool_opens_once_the_sweep_has_run(self, monkeypatch, fake_pool, segment, after, slices, chunks):
+        # A fake clock reads one second per prime worked. Until the gate
+        # trips, work gets slices of at most 8 primes in this process, and
+        # the clock is read between slices; every later prime goes to the one
+        # pool, which takes the rest of that window first. [3, 3000] has 218
+        # primes = 3 mod 4, in one window of the sieve segment: one slice
+        # passes 5 s, and the last 210 make 15 chunks for two jobs. In
+        # 256-integer windows [3, 258] has 29 and [259, 514] has 22: four
+        # slices take the first window, one more passes 35 s, and the 14
+        # left go one per chunk.
         monkeypatch.setattr(primes, "_SEGMENT", segment)
         monkeypatch.setattr(cli, "_POOL_AFTER", after)
         clock = [0.0]
         monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+        in_process = []
 
         def work(ps):
             clock[0] += len(ps)
+            if ps and not fake_pool:
+                in_process.append(len(ps))
             return [(p, len(fake_pool)) for p in ps]
 
         got = list(cli._sweep(3, 3000, 2, work))
         assert [p for p, _ in got] == primes.primes_in_range(3, 3000, 3, 4)
-        assert [pools for _, pools in got] == [0] * after + [1] * (len(got) - after)
+        assert in_process == slices
+        gated = sum(slices)
+        assert [pools for _, pools in got] == [0] * gated + [1] * (len(got) - gated)
         assert len(fake_pool) == 1 and fake_pool[0].maps[0] == chunks
 
     def test_first_result_after_one_window(self, monkeypatch):
@@ -654,23 +661,26 @@ class TestSweep:
 class TestOnePassPerPrime:
     # A(p), the residue table, the residue sum and the L-series signs all
     # come from squaring the half interval; each command squares it once
-    # per prime, and --l-check adds only the pass for its sign table.
+    # per prime, and --l-check adds only the pass for its sign table. The
+    # audit of a prime p <= 31 sums its symbols directly and squares nothing.
 
     @pytest.mark.parametrize(
-        "argv, passes",
+        "argv, passes, small_passes",
         [
-            (("verify", "--from", "21000", "--to", "21400"), 1),
-            (("verify", "--from", "3", "--to", "3000", "--fast", "1000", "--format", "csv"), 1),
-            (("identity", "--from", "5", "--to", "3000"), 1),
-            (("identity", "--from", "5", "--to", "300", "--l-check"), 2),
+            (("verify", "--from", "21000", "--to", "21400"), 1, 0),
+            (("verify", "--from", "3", "--to", "3000", "--fast", "1000", "--format", "csv"), 1, 0),
+            (("identity", "--from", "5", "--to", "3000"), 1, 1),
+            (("identity", "--from", "5", "--to", "300", "--l-check"), 2, 2),
         ],
         ids=["verify-audit", "verify-fast", "identity", "identity-l-check"],
     )
-    def test_squares_passes_per_prime(self, capsys, squares_passes, argv, passes):
+    def test_squares_passes_per_prime(self, capsys, squares_passes, argv, passes, small_passes):
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1)
         primes = oracles.primes_trial(int(argv[2]), int(argv[4]), 3, 4)
-        assert Counter(squares_passes) == Counter(passes * primes)
+        small = [p for p in primes if p <= 31]
+        large = [p for p in primes if p > 31]
+        assert Counter(squares_passes) == Counter(small_passes * small + passes * large)
 
 
 class TestLemma:

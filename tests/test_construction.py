@@ -33,11 +33,8 @@ from halfsum.construction import (
     case1_bounds,
     case2_bounds,
     classify_case,
-    construct_case1,
-    construct_case2,
-    verify_small_regime,
 )
-from halfsum.errors import ConsistencyError, DomainError
+from halfsum.errors import ConsistencyError, DomainError, ResourceLimitError
 
 
 class TestClassify:
@@ -86,7 +83,7 @@ class TestBounds:
 class TestSmallRegime:
     def test_all_six_primes_verified(self):
         for p in SMALL_REGIME_PRIMES:
-            report = verify_small_regime(p)
+            report = build_report(p)
             assert report.case == SMALL_REGIME
             assert report.verdict == VERIFIED
             assert report.families == []
@@ -94,39 +91,35 @@ class TestSmallRegime:
             assert report.distinct_qr_total > 0
 
     def test_examples(self):
-        assert verify_small_regime(3).distinct_qr_total == 1
-        assert verify_small_regime(23).distinct_qr_total == 7
-        r = verify_small_regime(31)
+        assert build_report(3).distinct_qr_total == 1
+        assert build_report(23).distinct_qr_total == 7
+        r = build_report(31)
         assert r.distinct_qr_total == 9
         assert half_sum_sieve(31).a_value == 3
 
     def test_verified_implies_positive_sum(self):
         for p in SMALL_REGIME_PRIMES:
-            if verify_small_regime(p).verdict == VERIFIED:
+            if build_report(p).verdict == VERIFIED:
                 assert half_sum_sieve(p).a_value > 0
-
-    def test_rejects_out_of_regime(self):
-        with pytest.raises(DomainError):
-            verify_small_regime(43)
-        with pytest.raises(DomainError):
-            verify_small_regime(13)
 
 
 class TestRouting:
-    def test_wrong_case_rejected(self):
-        with pytest.raises(DomainError):
-            construct_case1(47)
-        with pytest.raises(DomainError):
-            construct_case2(43)
-        with pytest.raises(DomainError):
-            construct_case1(11)
-        with pytest.raises(DomainError):
-            construct_case2(7)
-
     def test_build_report_dispatch(self):
         assert build_report(43).case == CASE_ONE
         assert build_report(47).case == CASE_TWO
         assert build_report(19).case == SMALL_REGIME
+
+    def test_refusals_and_small_regime_build_no_table(self, monkeypatch):
+        def refuse(pv):
+            raise AssertionError("a residue table was built")
+
+        monkeypatch.setattr(construction, "_qr_marks", refuse)
+        monkeypatch.setattr(construction, "_CONSTRUCT_LIMIT", 100)
+        assert build_report(31).verdict == VERIFIED
+        with pytest.raises(DomainError):
+            build_report(13)
+        with pytest.raises(ResourceLimitError, match="^p = 107 exceeds the construction limit 100$"):
+            build_report(107)
 
 
 # Frozen from the brute-force simulator: p -> (claimed_total, threshold,
@@ -291,6 +284,11 @@ class TestStructuralInvariants:
                 assert report.distinct_qr_total >= report.required_threshold
                 assert all(f.distinct_contribution >= f.claimed_bound for f in report.families)
 
+    def test_a_value_matches_brute(self, reports):
+        # Every p = 3 mod 4 up to 1500: the small regime and both cases.
+        for report in [build_report(p) for p in SMALL_REGIME_PRIMES] + reports:
+            assert report.a_value == oracles.half_sum_brute(report.p), report.p
+
     def test_reason_only_for_violations(self, reports):
         for report in reports:
             assert bool(report.reason) == (report.verdict == BOUND_VIOLATION), report.p
@@ -338,30 +336,41 @@ class TestStructuralInvariants:
         assert any(w[2] is None for w in f3["witnesses"])
 
 
+def _true_marks(p, flip=None):
+    """The residue marks of p from the oracle, with the mark at flip toggled."""
+    marks = np.zeros(p, dtype=np.uint8)
+    marks[sorted(oracles.qr_set(p))] = 1
+    if flip is not None:
+        marks[flip] ^= 1
+    return marks
+
+
 class TestConsistencyGuards:
-    def test_broken_lookup_detected(self):
-        with pytest.raises(ConsistencyError):
-            construct_case1(43, marks=np.ones(43, dtype=np.uint8))
-        with pytest.raises(ConsistencyError):
-            construct_case2(47, marks=np.zeros(47, dtype=np.uint8))
-        # The true table with one pair member's mark flipped breaks exactly-one.
-        marks = np.zeros(43, dtype=np.uint8)
-        marks[sorted(oracles.qr_set(43))] = 1
-        marks[8] ^= 1
-        with pytest.raises(ConsistencyError):
-            construct_case1(43, marks=marks)
+    # A broken residue table is injected where build_report reads it.
+
+    def test_broken_lookup_detected(self, monkeypatch):
+        cases = [
+            (43, np.ones(43, dtype=np.uint8), r"^\(2/43\) must be -1 when p = 3 mod 8$"),
+            (47, np.zeros(47, dtype=np.uint8), r"^\(2/47\) must be \+1 when p = 7 mod 8$"),
+            (43, _true_marks(43, flip=42), r"^\(-1/43\) must be -1 when p = 3 mod 4$"),
+            (47, _true_marks(47, flip=46), r"^\(-1/47\) must be -1 when p = 3 mod 4$"),
+            # One pair member's mark flipped breaks exactly-one.
+            (43, _true_marks(43, flip=8), "not exactly one residue"),
+        ]
+        for p, marks, message in cases:
+            monkeypatch.setattr(construction, "_qr_marks", lambda pv, marks=marks: marks)
+            with pytest.raises(ConsistencyError, match=message):
+                build_report(p)
 
     @pytest.mark.parametrize(
         "p, flip, family",
         [(43, 12, r"C1_F4\[j=2\] pair \(12, 6\)"), (47, 5, r"C2_F5MOD8 pair \(5, 21\)")],
     )
-    def test_broken_pair_names_its_family(self, p, flip, family):
+    def test_broken_pair_names_its_family(self, monkeypatch, p, flip, family):
         # The flipped element lies in exactly one pair, of the named family.
-        marks = np.zeros(p, dtype=np.uint8)
-        marks[sorted(oracles.qr_set(p))] = 1
-        marks[flip] ^= 1
+        monkeypatch.setattr(construction, "_qr_marks", lambda pv: _true_marks(p, flip))
         with pytest.raises(ConsistencyError, match=f"^{family}: not exactly one residue$"):
-            build_report(p, marks)
+            build_report(p)
 
     @pytest.mark.parametrize(
         "bounds, index, p, family",
