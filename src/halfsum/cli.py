@@ -18,8 +18,8 @@ and reads primes one sieve segment at a time; identity counts the reduced
 forms of a whole segment's primes in one columnar pass. verify --jobs N
 runs the sweep in this process for its first tenth of a second, in slices
 of at most 8 primes, and maps the rest on one pool of at most N workers,
-no more than chunks or usable CPUs; a shorter sweep, or one with a single
-usable CPU, starts no process.
+no more than chunks or usable CPUs; a shorter sweep, one whose rest would
+take less than that, or one with a single usable CPU, starts no process.
 Output is deterministic: identical invocations produce byte-identical
 JSON/CSV regardless of --jobs, so wall-clock timing goes to stderr only.
 """
@@ -34,7 +34,6 @@ import random
 import sys
 import time
 from collections import Counter
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache, partial
@@ -111,15 +110,8 @@ def _check_prime(p: int, fast_bound: Optional[int]):
         if len(unexpected) > 3:
             parts.append(f"and {len(unexpected) - 3} more")
         anomaly = (p, "; ".join(parts))
-    row = RangeRow(
-        p,
-        report.case,
-        a_value,
-        report.claimed_total,
-        report.distinct_qr_total,
-        report.verdict,
-    )
-    return row, violations, anomaly
+    counts = (report.claimed_total, report.distinct_qr_total)
+    return RangeRow(p, report.case, a_value, *counts, report.verdict), violations, anomaly
 
 
 def _check_primes(ps: list[int], fast_bound: Optional[int]) -> list:
@@ -143,15 +135,15 @@ def _usable_cpus() -> int:
 # only then opens its pool. Each worker is a fresh fork that must touch its
 # pages and caches again: two cost about 50 ms of CPU on a 2-vCPU host. So a
 # sweep that opens a pool has already done twice the work the pool costs, and
-# a long sweep gives up at most half the gate in wall time. On that host
-# (Python 3.11, cli.main in one warm process, verify --format csv, medians of
-# 15 alternating calls), wall / CPU in ms at --jobs 1, at --jobs 2 with this
-# gate, and at --jobs 2 with a pool from the first prime:
-#   audits of [21107, 22091]    46 / 46     51 / 51     57 / 100
-#   audits of [3, 5000]        155 / 155   170 / 221   136 / 249
-#   audits of [3, 10^4]        338 / 332   279 / 437   247 / 469
-#   audits of [3, 2*10^4]      647 / 647   533 / 918   517 / 963
-# With the gate the pool pays in wall time from about 0.3 s of work.
+# a long sweep gives up at most half the gate in wall time; when less than
+# the gate's worth is left in the range's last window, no pool opens. On that
+# host (Python 3.11, cli.main in one warm process, verify --format csv,
+# medians of 15 alternating calls), wall / CPU in ms at --jobs 1, at --jobs 2
+# with this gate, and at --jobs 2 with a pool from the first prime:
+#   audits of [21107, 22091]    21 / 21     21 / 22     34 / 55
+#   audits of [3, 10^4]        189 / 188   192 / 192   165 / 312
+#   audits of [3, 2*10^4]      411 / 411   293 / 458   257 / 478
+#   audits of [3, 3*10^4]      565 / 564   475 / 795   409 / 768
 _POOL_AFTER = 0.1
 
 # Until the gate trips, work gets the primes in slices of at most this many,
@@ -170,10 +162,11 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> It
     primes._SEGMENT integers at a time. At one job, work gets each window
     whole. Above one job the sweep runs in this process, work getting
     slices of at most _GATE_SLICE primes, until it has run _POOL_AFTER
-    seconds, so a short sweep starts no process. Then the rest of the
-    current window, and every later window, is split into about 8 * jobs
-    chunks and mapped on one process pool, work getting each chunk, a
-    window ahead of the results yielded, so the workers do not wait at the
+    seconds, so a short sweep starts no process; nor does one whose last
+    window, at the time per prime so far, has less than that left. Then the
+    rest of the current window, and every later window, is split into about
+    8 * jobs chunks and mapped on one process pool, work getting each chunk,
+    a window ahead of the results yielded, so the workers do not wait at the
     end of each window.
     """
     if lo > hi:
@@ -187,6 +180,7 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> It
         with ExitStack() as stack:
             pool = None
             ahead = ()
+            ran = 0
             started = time.perf_counter()
             for start in range(lo, hi + 1, window):
                 batch = primes_in_range(start, min(start + window - 1, hi), 3, 4)
@@ -198,6 +192,7 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> It
                     while done < len(batch) and time.perf_counter() - started < _POOL_AFTER:
                         yield from work(batch[done : done + _GATE_SLICE])
                         done += _GATE_SLICE
+                    ran += len(batch[:done])
                     batch = batch[done:]
                     # The executor may start all its workers at once, so never
                     # ask for more than there are chunks to hand out, at least
@@ -205,11 +200,16 @@ def _sweep(lo: int, hi: int, jobs: int, work: Callable[[list[int]], list]) -> It
                     # one worker. The pool keeps the count it opens with: a
                     # window is full whenever another follows it, so that count
                     # is short only when the gate trips within jobs primes of a
-                    # window's end.
+                    # window's end. The primes left in the range's last window
+                    # run here too if, at the time per prime so far, they would
+                    # take less than the gate.
                     workers = min(jobs, len(batch), _usable_cpus())
-                    if workers < 2:
+                    elapsed = time.perf_counter() - started
+                    if workers < 2 or start + window > hi and len(batch) * elapsed < ran * _POOL_AFTER:
                         yield from work(batch)
                         continue
+                    from concurrent.futures import ProcessPoolExecutor
+
                     pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 size = max(1, -(-len(batch) // (jobs * 8)))
                 chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
@@ -546,12 +546,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pool_errors() -> tuple:
+    """BrokenExecutor, once a --jobs sweep has imported the pool that raises it."""
+    futures = sys.modules.get("concurrent.futures")
+    return (futures.BrokenExecutor,) if futures else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ResourceLimitError, OSError, BrokenExecutor) as exc:
+    except (DomainError, ResourceLimitError, OSError, *_pool_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -12,13 +12,12 @@ evaluation, and audits three separate claims:
      sanctioned overlap (the element 4 in Case 1, which the count bounds
      already discount).
 
-The ratio-pair families of a case run in one pass: their candidate
-progressions form one column, the symbols of every pair are read at once
-from the residue marks of charsum._qr_marks, and each family's report is a
-slice of the shared columns.
-First-claim-wins dedup is one stable sort of all witnesses in generation
-order. Witnesses, failed pairs and the dedup ledger are read as Rows: the
-columns give their lengths, and each read builds only the rows it covers.
+A prime's families run as one witness column in generation order, built
+from the case's rule table, with a uint8 column naming each row's family.
+First-claim-wins dedup is one sort of the column, and the counts, verdict
+and reason are decided from arrays. The report builds its families,
+failed pairs and ledger from the columns when they are first read, and
+witnesses and ledger entries are Rows, which build only the rows read.
 
 Failures are never patched over; they become structured verdicts:
 
@@ -35,8 +34,8 @@ Case 1 covers p = 8k+3 (where 2 is a non-residue), Case 2 covers p = 8k+7
 build_report(p) is the one entry point. It classifies p, refuses p above
 _CONSTRUCT_LIMIT before any table is built (which bounds the memory of one
 audit), reads the residue flags once from charsum._qr_marks, checks (2/p)
-and (-1/p) against them, runs the case's families on them and reports
-A(p) counted from the same flags.
+and (-1/p) against them, reads every symbol of the case's families from
+them at once and reports A(p) counted from the same flags.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, repeat
 from typing import NamedTuple, Optional
 
@@ -65,9 +65,9 @@ DEDUP_ANOMALY = "DedupAnomaly"
 # Primes handled by direct verification instead of the construction.
 SMALL_REGIME_PRIMES = (3, 7, 11, 19, 23, 31)
 
-# An audit makes about p/4 pairs and peaks near 88 bytes per pair (traced
-# at p = 1000003), so at this limit it stays near 190 MB; construct --json,
-# which also builds every witness, peaks near 320 bytes per pair, ~0.7 GB.
+# An audit makes about p/4 pairs and peaks near 48 bytes per pair (traced
+# at p = 1000003), so at this limit it stays near 100 MB; construct --json,
+# which also builds every witness, peaks near 360 bytes per pair, ~0.75 GB.
 # Elements and their doubles stay far below 2^31, so the columns are int32.
 _CONSTRUCT_LIMIT = 1 << 23
 _INT = np.int32
@@ -115,9 +115,6 @@ class Rows(Sequence):
         return list(self._rows(key if self._index is None else self._index[key]))
 
 
-_NO_ROWS = Rows(0, lambda sel: ())
-
-
 def _build(kind: type, *columns: list) -> Iterator:
     """kind(*row) for each row across the columns, built at C level."""
     return map(tuple.__new__, repeat(kind), zip(*columns))
@@ -158,45 +155,88 @@ class FamilyReport:
         return _build(PairWitness, *(c.tolist() for c in columns))
 
 
+class _Rule(NamedTuple):
+    """A family: elements range(start, stop, step), a bound, C1_F4's j."""
+
+    family_id: str
+    bound: int
+    start: int
+    stop: int
+    step: int
+    j: Optional[int] = None
+
+    @property
+    def tag(self) -> str:
+        return self.family_id if self.j is None else f"{self.family_id}[j={self.j}]"
+
+
+# Families that claim elements outright or by C1_F3's fallback, not by ratio.
+_ELEMENT_FAMILIES = {"C1_F3", "C1_SPECIALS", "C2_TWO"}
+
+
 @dataclass(eq=False)
-class _Ledger:
-    """The elements claimed by more than one site, as columns.
+class _Columns:
+    """One prime's executed family system and its dedup, as columns.
 
-    Group g is the element elements[g]. Its claims are the generation
-    indices order[head[g] : head[g] + counts[g]], in generation order.
-    Generation index i is pair i - starts[f] of family f = family[i].
-    """
+    Row i pairs cands[i] with parts[i] under rules[family[i]]; its witness
+    chosen[i] is 0 if no residue lies in [1, (p-1)/2]. keys holds each
+    chosen[i] << bits | i, sorted, and element group g is the run of counts[g]
+    keys from head[g], element 0 left out. ledger lists the groups of several
+    claims, and sanctioned is Case 1's sanctioned overlap among them, or -1."""
 
-    families: list[FamilyReport]
-    starts: np.ndarray
+    rules: list[_Rule]
     family: np.ndarray
-    order: np.ndarray
+    cands: np.ndarray
+    parts: np.ndarray
+    chosen: np.ndarray
+    keys: np.ndarray
+    bits: int
     head: np.ndarray
     counts: np.ndarray
-    elements: np.ndarray
-    expected: np.ndarray
+    ledger: np.ndarray
+    sanctioned: int
+
+    @cached_property
+    def contributions(self) -> np.ndarray:
+        """Distinct elements per family: each group's first claim owns it."""
+        first = self.keys[self.head] & ((1 << self.bits) - 1)
+        return np.bincount(self.family[first], minlength=len(self.rules))
+
+    def families(self) -> list[FamilyReport]:
+        """A FamilyReport per rule, each a slice of the shared columns."""
+        cuts = np.searchsorted(self.family, np.arange(1, len(self.rules), dtype=np.uint8))
+        slices = zip(*(np.split(c, cuts) for c in (self.cands, self.parts, self.chosen)))
+        made = zip(self.rules, slices, self.contributions.tolist())
+        return [FamilyReport(r.family_id, r.bound, *s, r.j, n) for r, s, n in made]
 
     def entries(self, sel) -> Iterator[DedupEntry]:
-        """DedupEntry objects, site labels included, for the groups sel picks."""
-        counts = self.counts[sel]
+        """DedupEntry objects, site labels included, for the ledger groups sel picks."""
+        groups = self.ledger[sel]
+        head, counts = self.head[groups], self.counts[groups]
         offsets = np.cumsum(counts) - counts
-        pos = self.order[np.repeat(self.head[sel] - offsets, counts) + np.arange(counts.sum())]
-        owner = self.family[pos]
-        local = pos - self.starts[owner]
-        families = self.families
-        labels = iter([_site(families[o], i) for o, i in zip(owner.tolist(), local.tolist())])
+        rows = self.keys[np.repeat(head - offsets, counts) + np.arange(counts.sum())]
+        rows &= (1 << self.bits) - 1
+        starts = np.searchsorted(self.family, np.arange(len(self.rules), dtype=np.uint8)).tolist()
+        columns = (self.family[rows].tolist(), rows.tolist(), self.cands[rows].tolist())
+        labels = iter([_site(self.rules[f], i - starts[f], c) for f, i, c in zip(*columns)])
         sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
-        return _build(DedupEntry, self.elements[sel].tolist(), sites, self.expected[sel].tolist())
+        elements = (self.keys[head] >> self.bits).tolist()
+        return _build(DedupEntry, elements, sites, (groups == self.sanctioned).tolist())
+
+
+# The small regime runs no family: its system has no rows.
+_EMPTY = np.zeros(0, np.intp)
+_NO_COLUMNS = _Columns([], _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, 0, _EMPTY, _EMPTY, _EMPTY, -1)
 
 
 @dataclass(eq=False)
 class ConstructionReport:
-    """Full audit of the construction run for one prime."""
+    """Full audit of the construction run for one prime. Its families, failed
+    pairs and ledger views are built from its columns when first read."""
 
     p: int
     case: str
     k: int
-    families: list[FamilyReport]
     required_threshold: int
     claimed_total: int
     distinct_qr_total: int
@@ -205,14 +245,26 @@ class ConstructionReport:
     verdict: str
     # For a BoundViolation, the first claim that failed; empty otherwise.
     reason: str
-    # Elements claimed by more than one site in ascending order, and those
-    # of them that are not the sanctioned overlap.
-    dedup_ledger: Rows = field(default=_NO_ROWS, repr=False)
-    unexpected_duplicates: Rows = field(default=_NO_ROWS, repr=False)
+    _columns: _Columns = field(default=_NO_COLUMNS, repr=False)
 
-    @property
+    @cached_property
+    def families(self) -> list[FamilyReport]:
+        return self._columns.families()
+
+    @cached_property
     def failed_pairs(self) -> list[PairWitness]:
         return [w for f in self.families for w in f.failed_pairs]
+
+    @cached_property
+    def dedup_ledger(self) -> Rows:
+        """The elements claimed by more than one site, in ascending order."""
+        return Rows(len(self._columns.ledger), self._columns.entries)
+
+    @cached_property
+    def unexpected_duplicates(self) -> Rows:
+        """The ledger's entries other than the sanctioned overlap."""
+        c = self._columns
+        return Rows(len(c.ledger), c.entries, np.flatnonzero(c.ledger != c.sanctioned))
 
     def to_json_dict(self) -> dict:
         fams = []
@@ -258,169 +310,115 @@ def case1_bounds(k: int) -> tuple[int, int, int, int, int]:
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    return (
-        (4 * k + 5) // 6,
-        (4 * k + 3) // 12,
-        (4 * k - 3) // 12,
-        (4 * k + 1) // 6,
-        2,
-    )
+    return ((4 * k + 5) // 6, (4 * k + 3) // 12, (4 * k - 3) // 12, (4 * k + 1) // 6, 2)
 
 
 def case2_bounds(k: int) -> tuple[int, int, int, int, int]:
     """Per-family floor bounds for p = 8k+7; the five entries sum to 2k+3."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    return (
-        (k + 2) // 2,
-        (k + 1) // 2,
-        (2 * k + 5) // 4,
-        (2 * k + 3) // 4,
-        1,
-    )
+    return ((k + 2) // 2, (k + 1) // 2, (2 * k + 5) // 4, (2 * k + 3) // 4, 1)
 
 
-def _pair_families(
-    rules: list[tuple[str, int, int, int, Optional[int]]],
-    half: int,
-    partner: Callable[[np.ndarray], np.ndarray],
-    is_qr: np.ndarray,
-) -> list[FamilyReport]:
-    """Run every ratio-pair family of a case in one pass, in rule order.
+def _column(rules: list[_Rule]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every rule's elements in rule order as one column, each row's family,
+    and each family's size."""
+    runs = [np.arange(rule.start, rule.stop, rule.step, dtype=_INT) for rule in rules]
+    sizes = [len(run) for run in runs]
+    # Fewer than 2^8 families: Case 1 has bit_length(4k+1) + 4 < 32 of them.
+    return np.concatenate(runs), np.repeat(np.arange(len(rules), dtype=np.uint8), sizes), sizes
 
-    Rule (family_id, bound, start, step, j) pairs each candidate of the
-    progression start, start + step, ... up to half with partner(candidate).
-    Exactly one member of each pair must be a residue, and that member is
-    the witness. Each progression sets its family's pair count, which must
-    equal the family's closed-form floor bound. The families' reports are
-    slices of the shared columns.
+
+def _choose(rules, sizes, family, cands, cand_qr, parts, is_qr) -> tuple[np.ndarray, bool]:
+    """The witness column: in each row, the member of the pair that is a residue.
+
+    The first ratio pair without exactly one residue, then the first ratio
+    family whose pair count is not its closed-form floor bound, raises
+    ConsistencyError. Also returns whether any row has two residues or none.
     """
-    progressions = [_progression(start, half + 1, step) for _, _, start, step, _ in rules]
-    tags = [fid if j is None else f"{fid}[j={j}]" for fid, _, _, _, j in rules]
-    ends = np.cumsum([len(c) for c in progressions])
-    cands = np.concatenate(progressions)
-    parts = partner(cands)
-    cand_qr = is_qr[cands]
-    bad = np.flatnonzero(cand_qr == is_qr[parts])
-    if bad.size:
-        i = bad[0]
-        tag = tags[np.searchsorted(ends, i, "right")]
-        raise ConsistencyError(f"{tag} pair ({cands[i]}, {parts[i]}): not exactly one residue")
-    chosen = np.where(cand_qr, cands, parts)
-    reports = []
-    for (family_id, bound, _, _, j), tag, c, end in zip(rules, tags, progressions, ends.tolist()):
-        if len(c) != bound:
-            raise ConsistencyError(f"{tag} pair count disagrees with its floor bound")
-        s = slice(end - bound, end)
-        reports.append(FamilyReport(family_id, bound, cands[s], parts[s], chosen[s], subfamily=j))
-    return reports
+    same = cand_qr == is_qr.take(parts)
+    other = bool(same.any())
+    for i in np.flatnonzero(same).tolist() if other else ():
+        rule = rules[family[i]]
+        if rule.family_id not in _ELEMENT_FAMILIES:
+            pair = f"({cands[i]}, {parts[i]})"
+            raise ConsistencyError(f"{rule.tag} pair {pair}: not exactly one residue")
+    for rule, size in zip(rules, sizes):
+        if rule.family_id not in _ELEMENT_FAMILIES and size != rule.bound:
+            raise ConsistencyError(f"{rule.tag} pair count disagrees with its floor bound")
+    return np.where(cand_qr, cands, parts), other
 
 
-def _progression(start: int, stop: int, step: int) -> np.ndarray:
-    return np.arange(start, stop, step, dtype=_INT)
-
-
-def _site(fam: FamilyReport, i: int) -> str:
-    """Ledger label of the i-th witness of a family."""
-    if fam.family_id == "C1_F4":
-        return f"C1_F4[j={fam.subfamily},m={2 * i + 1}]"
-    if fam.family_id == "C1_SPECIALS":
-        return f"C1_SPECIALS[{fam.candidates[i]}]"
-    if fam.family_id == "C2_TWO":
+def _site(rule: _Rule, i: int, candidate: int) -> str:
+    """Ledger label of the i-th witness of a family, whose candidate is given."""
+    if rule.family_id == "C1_F4":
+        return f"C1_F4[j={rule.j},m={2 * i + 1}]"
+    if rule.family_id == "C1_SPECIALS":
+        return f"C1_SPECIALS[{candidate}]"
+    if rule.family_id == "C2_TWO":
         return "C2_TWO"
-    return f"{fam.family_id}[h={i}]"
+    return f"{rule.family_id}[h={i}]"
 
 
-def _finalize(
-    op: OddPrime,
-    case: str,
-    families: list[FamilyReport],
-    claimed_total: int,
-    threshold: int,
-    a_value: int,
-) -> ConstructionReport:
-    """Dedup accounting, verdict and reason for an executed family system."""
-    if claimed_total != sum(f.claimed_bound for f in families):
+def _finalize(op, case, rules, family, cands, parts, chosen, claimed_total, threshold, a_value):
+    """Dedup accounting, verdict and reason for an executed witness column."""
+    if claimed_total != sum(rule.bound for rule in rules):
         raise ConsistencyError("family bounds do not aggregate to the claimed total")
 
-    # Every witness claims its element, in generation order. A stable sort
-    # groups equal elements with their claims still in that order, so each
-    # group's head is the first claim, and first claim wins: a family is
-    # credited only with elements no earlier family already produced.
-    # Sorting element * n + index is that stable sort, and much faster than
-    # a stable argsort.
-    sizes = [f.pairs for f in families]
-    starts = np.cumsum([0] + sizes[:-1])
-    # Fewer than 2^8 families: Case 1 has bit_length(4k+1) + 4 < 32 of them.
-    family = np.repeat(np.arange(len(families), dtype=np.uint8), sizes)
-    chosen = np.concatenate([f.chosen for f in families])
+    # Every witness claims its element, in generation order. Sorting element
+    # << bits | row groups equal elements with their claims still in that
+    # order, so each group's head is the first claim, and first claim wins:
+    # a family is credited only with elements no earlier family produced.
+    # This stable sort is much faster than a stable argsort, and int32 keys,
+    # used while they fit, sort twice as fast as int64 ones.
     n = len(chosen)
-    keys = chosen.astype(np.int64) * n + np.arange(n)
+    bits = n.bit_length()
+    wide = (op.value // 2 + 1) << bits > 1 << 31
+    keys = (chosen.astype(np.int64) if wide else chosen) << bits
+    keys |= np.arange(n, dtype=keys.dtype)
     keys.sort()
-    ranked, order = np.divmod(keys, n)
+    ranked = keys >> bits
     head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    counts = np.diff(head, append=len(ranked))
+    counts = np.append(head[1:], n) - head
     # Element 0 stands for the pairs without a residue; it claims nothing.
-    first_failed = int(order[0]) if ranked[0] == 0 else None
-    if first_failed is not None:
-        head, counts = head[1:], counts[1:]
-    elements = ranked[head]
-    owner = family[order[head]]
-    for fam, count in zip(families, np.bincount(owner, minlength=len(families)).tolist()):
-        fam.distinct_contribution = count
-    distinct = len(elements)
-
-    dup = counts > 1
-    expected = np.zeros(int(dup.sum()), bool)
-    ledger = _Ledger(families, starts, family, order, head[dup], counts[dup], elements[dup], expected)
+    failed = bool(ranked[0] == 0)
+    head, counts = head[failed:], counts[failed:]
+    distinct = len(head)
+    ledger = np.flatnonzero(counts > 1)
     # Case 1 discounts exactly one overlap: the element 4, produced by the
     # first family's pair (8, 4) and by the third family's element 4.
+    sanctioned = -1
     if case == CASE_ONE:
-        g = int(np.searchsorted(ledger.elements, 4))
-        if g < len(ledger.elements) and ledger.elements[g] == 4 and ledger.counts[g] == 2:
-            owners = family[order[ledger.head[g] : ledger.head[g] + 2]]
-            ledger.expected[g] = {families[o].family_id for o in owners.tolist()} == {"C1_F1", "C1_F3"}
-    unexpected = Rows(len(ledger.elements), ledger.entries, np.flatnonzero(~ledger.expected))
+        lo, hi = np.searchsorted(ranked, [4, 5]).tolist()
+        owners = {rules[f].family_id for f in family[keys[lo:hi] & ((1 << bits) - 1)].tolist()}
+        if hi - lo == 2 and owners == {"C1_F1", "C1_F3"}:
+            sanctioned = int(np.searchsorted(head, lo))
+    unexpected = len(ledger) - (sanctioned >= 0)
+    cols = _Columns(rules, family, cands, parts, chosen, keys, bits, head, counts, ledger, sanctioned)
 
     # One ladder decides the verdict and, for a violation, its reason.
-    short = next((f for f in families if f.distinct_contribution < f.claimed_bound), None)
     verdict, reason = BOUND_VIOLATION, ""
-    if first_failed is not None:
-        f = family[first_failed]
-        fam, i = families[f], first_failed - starts[f]
-        reason = (
-            f"pair ({fam.candidates[i]}, {fam.partners[i]}) in {fam.family_id}: "
-            f"no residue lands in [1, {(op.value - 1) // 2}]"
-        )
+    if failed:
+        i = int(keys[0])
+        reason = f"pair ({cands[i]}, {parts[i]}) in {rules[family[i]].family_id}: "
+        reason += f"no residue lands in [1, {(op.value - 1) // 2}]"
     elif unexpected:
         verdict = DEDUP_ANOMALY
     elif distinct < threshold:
         reason = f"distinct {distinct} < threshold {threshold}"
-    elif short:
-        reason = (
-            f"family {short.family_id} contributed "
-            f"{short.distinct_contribution} < bound {short.claimed_bound}"
-        )
+    elif (short := np.flatnonzero(cols.contributions < [r.bound for r in rules])).size:
+        rule, contributed = rules[short[0]], cols.contributions[short[0]]
+        reason = f"family {rule.family_id} contributed {contributed} < bound {rule.bound}"
     else:
         verdict = VERIFIED
 
     return ConstructionReport(
-        p=op.value,
-        case=case,
-        k=op.k,
-        families=families,
-        required_threshold=threshold,
-        claimed_total=claimed_total,
-        distinct_qr_total=distinct,
-        a_value=a_value,
-        verdict=verdict,
-        reason=reason,
-        dedup_ledger=Rows(len(ledger.elements), ledger.entries),
-        unexpected_duplicates=unexpected,
+        p=op.value, case=case, k=op.k, required_threshold=threshold, claimed_total=claimed_total,
+        distinct_qr_total=distinct, a_value=a_value, verdict=verdict, reason=reason, _columns=cols,
     )
 
 
-def _case1_families(pv: int, k: int, is_qr: np.ndarray) -> list[FamilyReport]:
+def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     """The Case 1 (p = 8k+3) family system, run on the residue flags is_qr.
 
     Families over A = [1, 4k+1], with 2 a non-residue:
@@ -436,46 +434,46 @@ def _case1_families(pv: int, k: int, is_qr: np.ndarray) -> list[FamilyReport]:
     half = 4 * k + 1
     b1, b2, b3, b4, b_specials = case1_bounds(k)
     f4 = [
-        ("C1_F4", (half + (3 << j)) // (6 << j), 3 << j, 6 << j, j)
+        _Rule("C1_F4", (half + (3 << j)) // (6 << j), 3 << j, half + 1, 6 << j, j)
         for j in range(1, half.bit_length() + 1)
     ]
-    f4_bound_sum = sum(rule[1] for rule in f4)
+    f4_bound_sum = sum(rule.bound for rule in f4)
     if f4_bound_sum != b4 or f4_bound_sum != floor_half_series(Fraction(half, 6)):
         raise ConsistencyError("per-j bounds do not sum to floor((4k+1)/6)")
-    rules = [("C1_F1", b1, 2, 6, None), ("C1_F2", b2, 10, 12, None)] + f4
-    pairs = _pair_families(rules, half, lambda c: c // 2, is_qr)
-
     # C1_F3's bound is one below its element count: the element 4 (h = 0)
     # always duplicates C1_F1's witness from the pair (8, 4).
-    x = _progression(4, half + 1, 12)
-    x_qr = is_qr[x]
+    rules = [
+        _Rule("C1_F1", b1, 2, half + 1, 6),
+        _Rule("C1_F2", b2, 10, half + 1, 12),
+        _Rule("C1_F3", b3, 4, half + 1, 12),
+        *f4,
+        _Rule("C1_SPECIALS", b_specials, half, half - 5, -4),
+    ]
+    cands, family, sizes = _column(rules)
+    cand_qr = is_qr.take(cands)
+    parts = cands >> 1
+    f3 = slice(sizes[0] + sizes[1], sum(sizes[:3]))
+    x, x_qr = cands[f3], cand_qr[f3]
     dbl = 2 * x
     neg = (pv - 4 * x) % pv
     fallback = np.where(dbl <= half, dbl, np.where(neg <= half, neg, 0))
-    bad = np.flatnonzero(~x_qr & (fallback != 0) & ~is_qr[fallback])
-    if bad.size:
-        i = bad[0]
-        raise ConsistencyError(
-            f"fallback {fallback[i]} for non-residue {x[i]} mod {pv} is not a residue"
-        )
-    f3 = FamilyReport(
-        "C1_F3",
-        b3,
-        x,
-        np.where(x_qr | (fallback == 0), dbl, fallback),
-        np.where(x_qr, x, fallback),
-    )
-
-    specials = np.array([4 * k + 1, 4 * k - 3], dtype=_INT)
-    missing = specials[~is_qr[specials]]
-    if missing.size:
-        raise ConsistencyError(f"special element {missing[0]} must be a residue mod {pv}")
-    families = pairs[:2] + [f3] + pairs[2:]
-    families.append(FamilyReport("C1_SPECIALS", b_specials, specials, pv - specials, specials))
-    return families
+    parts[f3] = np.where(x_qr | (fallback == 0), dbl, fallback)
+    parts[-2:] = pv - cands[-2:]
+    chosen, other = _choose(rules, sizes, family, cands, cand_qr, parts, is_qr)
+    # A C1_F3 row whose fallback is not a residue holds two non-residues.
+    wrong = np.flatnonzero(~x_qr & (fallback != 0) & ~is_qr[fallback]) if other else ()
+    if len(wrong):
+        i = wrong[0]
+        message = f"fallback {fallback[i]} for non-residue {x[i]} mod {pv} is not a residue"
+        raise ConsistencyError(message)
+    chosen[f3] = np.where(x_qr, x, fallback)
+    for special in (half, half - 4):
+        if not is_qr[special]:
+            raise ConsistencyError(f"special element {special} must be a residue mod {pv}")
+    return rules, family, cands, parts, chosen
 
 
-def _case2_families(pv: int, k: int, is_qr: np.ndarray) -> list[FamilyReport]:
+def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     """The Case 2 (p = 8k+7) family system, run on the residue flags is_qr.
 
     Over A = [1, 4k+3], with 2 a residue, every odd a in A pairs with
@@ -483,18 +481,21 @@ def _case2_families(pv: int, k: int, is_qr: np.ndarray) -> list[FamilyReport]:
     The four families cover odd residue classes mod 8, plus the singleton
     family {2}.
     """
+    half = 4 * k + 3
     b1, b2, b3, b4, b_two = case2_bounds(k)
     # Rule r pairs the odd a = r mod 8 in A with (p-a)/2.
     rules = [
-        ("C2_F3MOD8", b1, 3, 8, None),
-        ("C2_F7MOD8", b2, 7, 8, None),
-        ("C2_F1MOD8", b3, 1, 8, None),
-        ("C2_F5MOD8", b4, 5, 8, None),
+        _Rule("C2_F3MOD8", b1, 3, half + 1, 8),
+        _Rule("C2_F7MOD8", b2, 7, half + 1, 8),
+        _Rule("C2_F1MOD8", b3, 1, half + 1, 8),
+        _Rule("C2_F5MOD8", b4, 5, half + 1, 8),
+        _Rule("C2_TWO", b_two, 2, 3, 1),
     ]
-    families = _pair_families(rules, 4 * k + 3, lambda c: (pv - c) // 2, is_qr)
-    two = np.array([2], dtype=_INT)
-    families.append(FamilyReport("C2_TWO", b_two, two, pv - two, two))
-    return families
+    cands, family, sizes = _column(rules)
+    parts = (pv - cands) >> 1
+    parts[-1] = pv - 2
+    chosen, _ = _choose(rules, sizes, family, cands, is_qr.take(cands), parts, is_qr)
+    return rules, family, cands, parts, chosen
 
 
 def _small_regime(op: OddPrime) -> ConstructionReport:
@@ -509,17 +510,12 @@ def _small_regime(op: OddPrime) -> ConstructionReport:
     threshold = (op.value + 1) // 4
     # For p = 3 mod 4, A(p) <= 0 exactly when the residue count misses the
     # threshold, so that is the reason a violation reports.
+    verified = rec.a_value > 0
     return ConstructionReport(
-        p=op.value,
-        case=SMALL_REGIME,
-        k=op.k,
-        families=[],
-        required_threshold=threshold,
-        claimed_total=0,
-        distinct_qr_total=rec.qr_count,
-        a_value=rec.a_value,
-        verdict=VERIFIED if rec.a_value > 0 else BOUND_VIOLATION,
-        reason="" if rec.a_value > 0 else f"distinct {rec.qr_count} < threshold {threshold}",
+        p=op.value, case=SMALL_REGIME, k=op.k, required_threshold=threshold, claimed_total=0,
+        distinct_qr_total=rec.qr_count, a_value=rec.a_value,
+        verdict=VERIFIED if verified else BOUND_VIOLATION,
+        reason="" if verified else f"distinct {rec.qr_count} < threshold {threshold}",
     )
 
 
@@ -547,10 +543,8 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
     if is_qr[pv - 1]:
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
-    if case == CASE_ONE:
-        families, claimed_total = _case1_families(pv, k, is_qr), 2 * k + 1
-    else:
-        families, claimed_total = _case2_families(pv, k, is_qr), 2 * k + 3
+    run, claimed_total = (_case1_column, 2 * k + 1) if case == CASE_ONE else (_case2_column, 2 * k + 3)
+    columns = run(pv, k, is_qr)
     half = (pv - 1) // 2
     a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
-    return _finalize(op, case, families, claimed_total, (pv + 1) // 4, a_value)
+    return _finalize(op, case, *columns, claimed_total, (pv + 1) // 4, a_value)

@@ -5,6 +5,7 @@ exit codes. Exit contract: 0 all checks passed, 1 a mathematical claim
 failed verification, 2 usage error.
 """
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -198,7 +199,7 @@ def fake_pool(monkeypatch):
             self.maps.append(len(chunks))
             return map(fn, chunks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return made
 
 
@@ -349,7 +350,7 @@ class TestVerify:
             def map(self, fn, chunks):
                 raise failure
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
         monkeypatch.setattr(cli, "_POOL_AFTER", 0)
         usable_cpus(monkeypatch, 2)
         code, out, err = run(capsys, "verify", "--from", "3", "--to", "400", "--jobs", "2")
@@ -376,9 +377,24 @@ class TestVerify:
         for cls in (construction.PairWitness, construction.DedupEntry):
             guarded = type(cls.__name__, (cls,), {"__new__": refuse})
             monkeypatch.setattr(construction, cls.__name__, guarded)
+        # Nor does it build a family's report or the ledger view: a report
+        # builds its families and dedup_ledger only when they are read.
+        families = []
+
+        class CountedFamily(construction.FamilyReport):
+            def __init__(self, *args, **kwargs):
+                families.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(construction, "FamilyReport", CountedFamily)
+        reports = []
+        audit = cli.build_report
+        monkeypatch.setattr(cli, "build_report", lambda p: reports.append(audit(p)) or reports[-1])
         code, out, _ = run(capsys, "verify", "--from", "21000", "--to", "21400")
         assert code == 1 and "23 primes" in out
         assert built == {"PairWitness": 0, "DedupEntry": 3 * 23}
+        assert families == [] and len(reports) == 23
+        assert not [r.p for r in reports if {"families", "dedup_ledger"} & set(vars(r))]
 
     def test_construction_limit_exits_2(self, capsys, monkeypatch):
         # The audit allocates per pair: a prime past the construction limit
@@ -626,6 +642,26 @@ class TestSweep:
         gated = sum(slices)
         assert [pools for _, pools in got] == [0] * gated + [1] * (len(got) - gated)
         assert len(fake_pool) == 1 and fake_pool[0].maps[0] == chunks
+
+    @pytest.mark.parametrize("after, pools", [(100, 1), (120, 0)], ids=["pool-pays", "little-left"])
+    def test_last_window_left_short_runs_here(self, monkeypatch, fake_pool, after, pools):
+        # [3, 3000] is one window, the range's last, with 218 primes = 3 mod 4,
+        # and the fake clock reads one second per prime worked. At 100 s the
+        # gate trips after 104 primes, and the 114 left would take 114 s, more
+        # than the gate: they go to a pool. At 120 s it trips after 120, and
+        # the 98 left would take 98 s: they run here, with no pool. A window
+        # that is not the range's last opens the pool however few primes it
+        # has left (test_pool_opens_once_the_sweep_has_run, later-window).
+        monkeypatch.setattr(cli, "_POOL_AFTER", after)
+        clock = [0.0]
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+
+        def work(ps):
+            clock[0] += len(ps)
+            return ps
+
+        assert list(cli._sweep(3, 3000, 2, work)) == primes.primes_in_range(3, 3000, 3, 4)
+        assert len(fake_pool) == pools
 
     def test_first_result_after_one_window(self, monkeypatch):
         calls = []

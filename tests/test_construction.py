@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from halfsum.charsum import half_sum_sieve
-from halfsum.arith import legendre_euler
+from halfsum.arith import OddPrime, legendre_euler
 from halfsum import construction
 from halfsum.construction import (
     BOUND_VIOLATION,
@@ -28,7 +28,7 @@ from halfsum.construction import (
     SMALL_REGIME,
     SMALL_REGIME_PRIMES,
     VERIFIED,
-    _Ledger,
+    _Columns,
     build_report,
     case1_bounds,
     case2_bounds,
@@ -213,10 +213,14 @@ class TestOracleEquivalence:
             if p > 31:
                 _assert_matches_simulator(p)
 
-    # Case 1 and Case 2 primes near 2*10^4 and 10^5, where each ledger holds
-    # over a thousand entries. Every Case 1 prime here is a BoundViolation
-    # with C1_F3 pairs that have no residue in the half interval.
-    @pytest.mark.parametrize("p", [20011, 20023, 20047, 20051, 99871, 99907, 99971, 99991])
+    # Case 1 and Case 2 primes near 2*10^4, 10^5 and 2^17, where each ledger
+    # holds over a thousand entries. Every Case 1 prime here is a
+    # BoundViolation with C1_F3 pairs that have no residue in the half
+    # interval. The dedup sorts its keys as int32 up to 131063 and 131059
+    # and as int64 from 131071 and 131171 on.
+    @pytest.mark.parametrize(
+        "p", [20011, 20023, 20047, 20051, 99871, 99907, 99971, 99991, 131059, 131063, 131071, 131171]
+    )
     def test_engine_matches_simulator_large(self, p):
         report = _assert_matches_simulator(p)
         assert len(report.unexpected_duplicates) > 1000
@@ -336,6 +340,37 @@ class TestStructuralInvariants:
         assert any(w[2] is None for w in f3["witnesses"])
 
 
+class TestVerdictLadder:
+    # Every prime in (31, 10^5] stops at a failed pair or at unsanctioned
+    # duplicates, so no real prime reaches the last two rungs. These run
+    # them on hand-made witness columns with a clean ledger: family
+    # C2_F3MOD8 claims 3 and 11, C2_TWO claims 2.
+    def _report(self, f1_bound, threshold):
+        rule = construction._Rule
+        rules = [rule("C2_F3MOD8", f1_bound, 3, 12, 8), rule("C2_TWO", 1, 2, 3, 1)]
+        family = np.array([0, 0, 1], dtype=np.uint8)
+        chosen = np.array([3, 11, 2], dtype=np.int32)
+        report = construction._finalize(
+            OddPrime(47), CASE_TWO, rules, family, chosen, chosen // 2, chosen, f1_bound + 1, threshold, 5
+        )
+        assert not report.failed_pairs and not report.dedup_ledger and report.distinct_qr_total == 3
+        return report
+
+    def test_all_rungs_met_is_verified(self):
+        report = self._report(2, 3)
+        assert (report.verdict, report.reason) == (VERIFIED, "")
+        assert [f.distinct_contribution for f in report.families] == [2, 1]
+
+    def test_distinct_below_threshold(self):
+        report = self._report(2, 4)
+        assert (report.verdict, report.reason) == (BOUND_VIOLATION, "distinct 3 < threshold 4")
+
+    def test_family_below_its_bound(self):
+        report = self._report(3, 3)
+        assert report.verdict == BOUND_VIOLATION
+        assert report.reason == "family C2_F3MOD8 contributed 2 < bound 3"
+
+
 def _true_marks(p, flip=None):
     """The residue marks of p from the oracle, with the mark at flip toggled."""
     marks = np.zeros(p, dtype=np.uint8)
@@ -445,7 +480,7 @@ class TestRowViews:
         def refuse(self, sel):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(_Ledger, "entries", refuse)
+        monkeypatch.setattr(_Columns, "entries", refuse)
         monkeypatch.setattr(FamilyReport, "_witnesses", refuse)
         for p, unexpected in ((7, 0), (20011, 1095), (20023, 1222)):
             report = build_report(p)
