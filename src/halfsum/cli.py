@@ -110,8 +110,15 @@ def _check_prime(p: int, fast_bound: Optional[int]):
         if len(unexpected) > 3:
             parts.append(f"and {len(unexpected) - 3} more")
         anomaly = (p, "; ".join(parts))
-    counts = (report.claimed_total, report.distinct_qr_total)
-    return RangeRow(p, report.case, a_value, *counts, report.verdict), violations, anomaly
+    row = RangeRow(
+        p,
+        report.case,
+        a_value,
+        report.claimed_total,
+        report.distinct_qr_total,
+        report.verdict,
+    )
+    return row, violations, anomaly
 
 
 def _check_primes(ps: list[int], fast_bound: Optional[int]) -> list:

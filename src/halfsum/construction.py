@@ -44,7 +44,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -156,7 +156,12 @@ class FamilyReport:
 
 
 class _Rule(NamedTuple):
-    """A family: elements range(start, stop, step), a bound, C1_F4's j."""
+    """A family: elements range(start, stop, step), a bound, C1_F4's j.
+
+    A ratio family's rows are pairs that each hold exactly one residue, and
+    there are exactly bound of them; the other families claim elements
+    outright or by C1_F3's fallback.
+    """
 
     family_id: str
     bound: int
@@ -164,31 +169,39 @@ class _Rule(NamedTuple):
     stop: int
     step: int
     j: Optional[int] = None
+    ratio: bool = True
 
     @property
     def tag(self) -> str:
         return self.family_id if self.j is None else f"{self.family_id}[j={self.j}]"
 
 
-# Families that claim elements outright or by C1_F3's fallback, not by ratio.
-_ELEMENT_FAMILIES = {"C1_F3", "C1_SPECIALS", "C2_TWO"}
+class _System(NamedTuple):
+    """One prime's executed family system, one row per pair in generation order.
+
+    Row i pairs cands[i] with parts[i] under rules[family[i]]; its witness
+    chosen[i] is 0 if no residue lies in [1, (p-1)/2]. The rows of family f
+    are starts[f] up to starts[f + 1], and starts ends with the row count.
+    """
+
+    rules: list[_Rule]
+    starts: list[int]
+    family: np.ndarray
+    cands: np.ndarray
+    parts: np.ndarray
+    chosen: np.ndarray
 
 
 @dataclass(eq=False)
 class _Columns:
     """One prime's executed family system and its dedup, as columns.
 
-    Row i pairs cands[i] with parts[i] under rules[family[i]]; its witness
-    chosen[i] is 0 if no residue lies in [1, (p-1)/2]. keys holds each
-    chosen[i] << bits | i, sorted, and element group g is the run of counts[g]
-    keys from head[g], element 0 left out. ledger lists the groups of several
-    claims, and sanctioned is Case 1's sanctioned overlap among them, or -1."""
+    keys holds each chosen[i] << bits | i, sorted, and element group g is
+    the run of counts[g] keys from head[g], element 0 left out. ledger lists
+    the groups of several claims, and sanctioned is Case 1's sanctioned
+    overlap among them, or -1."""
 
-    rules: list[_Rule]
-    family: np.ndarray
-    cands: np.ndarray
-    parts: np.ndarray
-    chosen: np.ndarray
+    system: _System
     keys: np.ndarray
     bits: int
     head: np.ndarray
@@ -200,14 +213,14 @@ class _Columns:
     def contributions(self) -> np.ndarray:
         """Distinct elements per family: each group's first claim owns it."""
         first = self.keys[self.head] & ((1 << self.bits) - 1)
-        return np.bincount(self.family[first], minlength=len(self.rules))
+        return np.bincount(self.system.family[first], minlength=len(self.system.rules))
 
     def families(self) -> list[FamilyReport]:
         """A FamilyReport per rule, each a slice of the shared columns."""
-        cuts = np.searchsorted(self.family, np.arange(1, len(self.rules), dtype=np.uint8))
-        slices = zip(*(np.split(c, cuts) for c in (self.cands, self.parts, self.chosen)))
-        made = zip(self.rules, slices, self.contributions.tolist())
-        return [FamilyReport(r.family_id, r.bound, *s, r.j, n) for r, s, n in made]
+        s = self.system
+        slices = zip(*(np.split(c, s.starts[1:-1]) for c in (s.cands, s.parts, s.chosen)))
+        made = zip(s.rules, slices, self.contributions.tolist())
+        return [FamilyReport(r.family_id, r.bound, *c, r.j, n) for r, c, n in made]
 
     def entries(self, sel) -> Iterator[DedupEntry]:
         """DedupEntry objects, site labels included, for the ledger groups sel picks."""
@@ -216,9 +229,9 @@ class _Columns:
         offsets = np.cumsum(counts) - counts
         rows = self.keys[np.repeat(head - offsets, counts) + np.arange(counts.sum())]
         rows &= (1 << self.bits) - 1
-        starts = np.searchsorted(self.family, np.arange(len(self.rules), dtype=np.uint8)).tolist()
-        columns = (self.family[rows].tolist(), rows.tolist(), self.cands[rows].tolist())
-        labels = iter([_site(self.rules[f], i - starts[f], c) for f, i, c in zip(*columns)])
+        s = self.system
+        columns = (s.family[rows].tolist(), rows.tolist(), s.cands[rows].tolist())
+        labels = iter([_site(s.rules[f], i - s.starts[f], c) for f, i, c in zip(*columns)])
         sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
         elements = (self.keys[head] >> self.bits).tolist()
         return _build(DedupEntry, elements, sites, (groups == self.sanctioned).tolist())
@@ -226,7 +239,8 @@ class _Columns:
 
 # The small regime runs no family: its system has no rows.
 _EMPTY = np.zeros(0, np.intp)
-_NO_COLUMNS = _Columns([], _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, 0, _EMPTY, _EMPTY, _EMPTY, -1)
+_NO_SYSTEM = _System([], [0], _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+_NO_COLUMNS = _Columns(_NO_SYSTEM, _EMPTY, 0, _EMPTY, _EMPTY, _EMPTY, -1)
 
 
 @dataclass(eq=False)
@@ -310,26 +324,45 @@ def case1_bounds(k: int) -> tuple[int, int, int, int, int]:
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    return ((4 * k + 5) // 6, (4 * k + 3) // 12, (4 * k - 3) // 12, (4 * k + 1) // 6, 2)
+    return (
+        (4 * k + 5) // 6,
+        (4 * k + 3) // 12,
+        (4 * k - 3) // 12,
+        (4 * k + 1) // 6,
+        2,
+    )
 
 
 def case2_bounds(k: int) -> tuple[int, int, int, int, int]:
     """Per-family floor bounds for p = 8k+7; the five entries sum to 2k+3."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    return ((k + 2) // 2, (k + 1) // 2, (2 * k + 5) // 4, (2 * k + 3) // 4, 1)
+    return (
+        (k + 2) // 2,
+        (k + 1) // 2,
+        (2 * k + 5) // 4,
+        (2 * k + 3) // 4,
+        1,
+    )
 
 
 def _column(rules: list[_Rule]) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Every rule's elements in rule order as one column, each row's family,
-    and each family's size."""
+    and where each family's rows start, the row count last."""
     runs = [np.arange(rule.start, rule.stop, rule.step, dtype=_INT) for rule in rules]
     sizes = [len(run) for run in runs]
     # Fewer than 2^8 families: Case 1 has bit_length(4k+1) + 4 < 32 of them.
-    return np.concatenate(runs), np.repeat(np.arange(len(rules), dtype=np.uint8), sizes), sizes
+    family = np.repeat(np.arange(len(rules), dtype=np.uint8), sizes)
+    return np.concatenate(runs), family, list(accumulate(sizes, initial=0))
 
 
-def _choose(rules, sizes, family, cands, cand_qr, parts, is_qr) -> tuple[np.ndarray, bool]:
+def _rows(rules: list[_Rule], starts: list[int], rule: _Rule) -> slice:
+    """The rows of rule in a column that _column built from rules."""
+    f = rules.index(rule)
+    return slice(starts[f], starts[f + 1])
+
+
+def _choose(rules, starts, family, cands, cand_qr, parts, is_qr) -> tuple[np.ndarray, bool]:
     """The witness column: in each row, the member of the pair that is a residue.
 
     The first ratio pair without exactly one residue, then the first ratio
@@ -340,11 +373,11 @@ def _choose(rules, sizes, family, cands, cand_qr, parts, is_qr) -> tuple[np.ndar
     other = bool(same.any())
     for i in np.flatnonzero(same).tolist() if other else ():
         rule = rules[family[i]]
-        if rule.family_id not in _ELEMENT_FAMILIES:
+        if rule.ratio:
             pair = f"({cands[i]}, {parts[i]})"
             raise ConsistencyError(f"{rule.tag} pair {pair}: not exactly one residue")
-    for rule, size in zip(rules, sizes):
-        if rule.family_id not in _ELEMENT_FAMILIES and size != rule.bound:
+    for rule, start, stop in zip(rules, starts, starts[1:]):
+        if rule.ratio and stop - start != rule.bound:
             raise ConsistencyError(f"{rule.tag} pair count disagrees with its floor bound")
     return np.where(cand_qr, cands, parts), other
 
@@ -360,8 +393,16 @@ def _site(rule: _Rule, i: int, candidate: int) -> str:
     return f"{rule.family_id}[h={i}]"
 
 
-def _finalize(op, case, rules, family, cands, parts, chosen, claimed_total, threshold, a_value):
-    """Dedup accounting, verdict and reason for an executed witness column."""
+def _finalize(
+    op: OddPrime,
+    case: str,
+    system: _System,
+    claimed_total: int,
+    threshold: int,
+    a_value: int,
+) -> ConstructionReport:
+    """Dedup accounting, verdict and reason for an executed family system."""
+    rules, family, chosen = system.rules, system.family, system.chosen
     if claimed_total != sum(rule.bound for rule in rules):
         raise ConsistencyError("family bounds do not aggregate to the claimed total")
 
@@ -369,13 +410,11 @@ def _finalize(op, case, rules, family, cands, parts, chosen, claimed_total, thre
     # << bits | row groups equal elements with their claims still in that
     # order, so each group's head is the first claim, and first claim wins:
     # a family is credited only with elements no earlier family produced.
-    # This stable sort is much faster than a stable argsort, and int32 keys,
-    # used while they fit, sort twice as fast as int64 ones.
+    # This sort of unique keys is much faster than a stable argsort.
     n = len(chosen)
     bits = n.bit_length()
-    wide = (op.value // 2 + 1) << bits > 1 << 31
-    keys = (chosen.astype(np.int64) if wide else chosen) << bits
-    keys |= np.arange(n, dtype=keys.dtype)
+    keys = chosen.astype(np.int64) << bits
+    keys |= np.arange(n, dtype=np.int64)
     keys.sort()
     ranked = keys >> bits
     head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
@@ -394,13 +433,13 @@ def _finalize(op, case, rules, family, cands, parts, chosen, claimed_total, thre
         if hi - lo == 2 and owners == {"C1_F1", "C1_F3"}:
             sanctioned = int(np.searchsorted(head, lo))
     unexpected = len(ledger) - (sanctioned >= 0)
-    cols = _Columns(rules, family, cands, parts, chosen, keys, bits, head, counts, ledger, sanctioned)
+    cols = _Columns(system, keys, bits, head, counts, ledger, sanctioned)
 
     # One ladder decides the verdict and, for a violation, its reason.
     verdict, reason = BOUND_VIOLATION, ""
     if failed:
         i = int(keys[0])
-        reason = f"pair ({cands[i]}, {parts[i]}) in {rules[family[i]].family_id}: "
+        reason = f"pair ({system.cands[i]}, {system.parts[i]}) in {rules[family[i]].family_id}: "
         reason += f"no residue lands in [1, {(op.value - 1) // 2}]"
     elif unexpected:
         verdict = DEDUP_ANOMALY
@@ -413,12 +452,20 @@ def _finalize(op, case, rules, family, cands, parts, chosen, claimed_total, thre
         verdict = VERIFIED
 
     return ConstructionReport(
-        p=op.value, case=case, k=op.k, required_threshold=threshold, claimed_total=claimed_total,
-        distinct_qr_total=distinct, a_value=a_value, verdict=verdict, reason=reason, _columns=cols,
+        p=op.value,
+        case=case,
+        k=op.k,
+        required_threshold=threshold,
+        claimed_total=claimed_total,
+        distinct_qr_total=distinct,
+        a_value=a_value,
+        verdict=verdict,
+        reason=reason,
+        _columns=cols,
     )
 
 
-def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
+def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> _System:
     """The Case 1 (p = 8k+3) family system, run on the residue flags is_qr.
 
     Families over A = [1, 4k+1], with 2 a non-residue:
@@ -442,38 +489,40 @@ def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
         raise ConsistencyError("per-j bounds do not sum to floor((4k+1)/6)")
     # C1_F3's bound is one below its element count: the element 4 (h = 0)
     # always duplicates C1_F1's witness from the pair (8, 4).
+    f3 = _Rule("C1_F3", b3, 4, half + 1, 12, ratio=False)
+    specials = _Rule("C1_SPECIALS", b_specials, half, half - 5, -4, ratio=False)
     rules = [
         _Rule("C1_F1", b1, 2, half + 1, 6),
         _Rule("C1_F2", b2, 10, half + 1, 12),
-        _Rule("C1_F3", b3, 4, half + 1, 12),
+        f3,
         *f4,
-        _Rule("C1_SPECIALS", b_specials, half, half - 5, -4),
+        specials,
     ]
-    cands, family, sizes = _column(rules)
+    cands, family, starts = _column(rules)
     cand_qr = is_qr.take(cands)
     parts = cands >> 1
-    f3 = slice(sizes[0] + sizes[1], sum(sizes[:3]))
-    x, x_qr = cands[f3], cand_qr[f3]
+    f3_rows, special_rows = _rows(rules, starts, f3), _rows(rules, starts, specials)
+    x, x_qr = cands[f3_rows], cand_qr[f3_rows]
     dbl = 2 * x
     neg = (pv - 4 * x) % pv
     fallback = np.where(dbl <= half, dbl, np.where(neg <= half, neg, 0))
-    parts[f3] = np.where(x_qr | (fallback == 0), dbl, fallback)
-    parts[-2:] = pv - cands[-2:]
-    chosen, other = _choose(rules, sizes, family, cands, cand_qr, parts, is_qr)
+    parts[f3_rows] = np.where(x_qr | (fallback == 0), dbl, fallback)
+    parts[special_rows] = pv - cands[special_rows]
+    chosen, other = _choose(rules, starts, family, cands, cand_qr, parts, is_qr)
     # A C1_F3 row whose fallback is not a residue holds two non-residues.
     wrong = np.flatnonzero(~x_qr & (fallback != 0) & ~is_qr[fallback]) if other else ()
     if len(wrong):
         i = wrong[0]
         message = f"fallback {fallback[i]} for non-residue {x[i]} mod {pv} is not a residue"
         raise ConsistencyError(message)
-    chosen[f3] = np.where(x_qr, x, fallback)
+    chosen[f3_rows] = np.where(x_qr, x, fallback)
     for special in (half, half - 4):
         if not is_qr[special]:
             raise ConsistencyError(f"special element {special} must be a residue mod {pv}")
-    return rules, family, cands, parts, chosen
+    return _System(rules, starts, family, cands, parts, chosen)
 
 
-def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
+def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> _System:
     """The Case 2 (p = 8k+7) family system, run on the residue flags is_qr.
 
     Over A = [1, 4k+3], with 2 a residue, every odd a in A pairs with
@@ -484,18 +533,19 @@ def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     half = 4 * k + 3
     b1, b2, b3, b4, b_two = case2_bounds(k)
     # Rule r pairs the odd a = r mod 8 in A with (p-a)/2.
+    two = _Rule("C2_TWO", b_two, 2, 3, 1, ratio=False)
     rules = [
         _Rule("C2_F3MOD8", b1, 3, half + 1, 8),
         _Rule("C2_F7MOD8", b2, 7, half + 1, 8),
         _Rule("C2_F1MOD8", b3, 1, half + 1, 8),
         _Rule("C2_F5MOD8", b4, 5, half + 1, 8),
-        _Rule("C2_TWO", b_two, 2, 3, 1),
+        two,
     ]
-    cands, family, sizes = _column(rules)
+    cands, family, starts = _column(rules)
     parts = (pv - cands) >> 1
-    parts[-1] = pv - 2
-    chosen, _ = _choose(rules, sizes, family, cands, is_qr.take(cands), parts, is_qr)
-    return rules, family, cands, parts, chosen
+    parts[_rows(rules, starts, two)] = pv - 2
+    chosen, _ = _choose(rules, starts, family, cands, is_qr.take(cands), parts, is_qr)
+    return _System(rules, starts, family, cands, parts, chosen)
 
 
 def _small_regime(op: OddPrime) -> ConstructionReport:
@@ -510,12 +560,16 @@ def _small_regime(op: OddPrime) -> ConstructionReport:
     threshold = (op.value + 1) // 4
     # For p = 3 mod 4, A(p) <= 0 exactly when the residue count misses the
     # threshold, so that is the reason a violation reports.
-    verified = rec.a_value > 0
     return ConstructionReport(
-        p=op.value, case=SMALL_REGIME, k=op.k, required_threshold=threshold, claimed_total=0,
-        distinct_qr_total=rec.qr_count, a_value=rec.a_value,
-        verdict=VERIFIED if verified else BOUND_VIOLATION,
-        reason="" if verified else f"distinct {rec.qr_count} < threshold {threshold}",
+        p=op.value,
+        case=SMALL_REGIME,
+        k=op.k,
+        required_threshold=threshold,
+        claimed_total=0,
+        distinct_qr_total=rec.qr_count,
+        a_value=rec.a_value,
+        verdict=VERIFIED if rec.a_value > 0 else BOUND_VIOLATION,
+        reason="" if rec.a_value > 0 else f"distinct {rec.qr_count} < threshold {threshold}",
     )
 
 
@@ -544,7 +598,7 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     run, claimed_total = (_case1_column, 2 * k + 1) if case == CASE_ONE else (_case2_column, 2 * k + 3)
-    columns = run(pv, k, is_qr)
+    system = run(pv, k, is_qr)
     half = (pv - 1) // 2
     a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
-    return _finalize(op, case, *columns, claimed_total, (pv + 1) // 4, a_value)
+    return _finalize(op, case, system, claimed_total, (pv + 1) // 4, a_value)
