@@ -50,13 +50,18 @@ _IOTA = np.arange(1 << 15, dtype=np.float64)
 
 @dataclass(frozen=True)
 class ClassNumberRecord:
-    """h(-p) from both methods plus the A(p) identity sides."""
+    """h(-p) from both methods plus the A(p) identity sides, for the
+    validated prime, which callers pass on instead of validating p again."""
 
-    p: int
+    prime: OddPrime
     h_forms: int
     h_charsum: int
     identity_lhs: int
     identity_rhs: int
+
+    @property
+    def p(self) -> int:
+        return self.prime.value
 
     @property
     def methods_agree(self) -> bool:
@@ -254,7 +259,7 @@ def identity_checks(ps: Iterable[int | OddPrime]) -> list[ClassNumberRecord]:
         rec = half_sum_sieve(op, sum_residues=True)
         h_chs = _h_from_residue_sum(op.value, rec.residue_sum)
         rhs = (2 - legendre_euler(2, op)) * h
-        records.append(ClassNumberRecord(op.value, h, h_chs, rec.a_value, rhs))
+        records.append(ClassNumberRecord(op, h, h_chs, rec.a_value, rhs))
     return records
 
 

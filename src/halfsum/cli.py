@@ -369,24 +369,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classnum(args) -> int:
-    if args.method in ("forms", "both"):
-        h_forms = reduced_forms_count(args.p)
-    if args.method in ("charsum", "both"):
-        h_charsum = class_number_character_sum(args.p)
-    if args.method == "forms":
-        print(f"h(-{args.p}) = {h_forms}")
-        return 0
-    if args.method == "charsum":
-        print(f"h(-{args.p}) = {h_charsum}")
-        return 0
-    if h_forms != h_charsum:
-        print(
-            f"method disagreement at p={args.p}: "
-            f"forms {h_forms}, charsum {h_charsum}",
-            file=sys.stderr,
-        )
+    methods = (("forms", reduced_forms_count), ("charsum", class_number_character_sum))
+    # h(-p) by each method asked for, in that order: one value, or two to agree.
+    h = [count(args.p) for name, count in methods if args.method in (name, "both")]
+    if h[0] != h[-1]:
+        print(f"method disagreement at p={args.p}: forms {h[0]}, charsum {h[1]}", file=sys.stderr)
         return 1
-    print(f"h(-{args.p}) = {h_forms}")
+    print(f"h(-{args.p}) = {h[0]}")
     return 0
 
 
@@ -410,7 +399,7 @@ def cmd_identity(args) -> int:
             )
         if args.l_check:
             terms = max(args.l_terms or 100 * p, p)
-            lrec = l_value_estimate(p, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
+            lrec = l_value_estimate(rec.prime, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
             if not lrec.within_tolerance:
                 failures += 1
                 print(

@@ -12,11 +12,12 @@ evaluation, and audits three separate claims:
      sanctioned overlap (the element 4 in Case 1, which the count bounds
      already discount).
 
-A prime's families run as one witness column in generation order, built
-from the case's rule table, with a uint8 column naming each row's family.
-First-claim-wins dedup is one sort of the column, and the counts, verdict
-and reason are decided from arrays. The report builds its families,
-failed pairs and ledger from the columns when they are first read, and
+A prime's audit is one record, _System: its families run as one witness
+column in generation order, built from the case's rule table, with a uint8
+column naming each row's family, and the record derives its first-claim
+dedup with one sort of that column when built. The verdict and reason are
+decided from its arrays. The report keeps the record and builds its
+families, failed pairs and ledger from it when they are first read, and
 witnesses and ledger entries are Rows, which build only the rows read.
 
 Failures are never patched over; they become structured verdicts:
@@ -176,12 +177,19 @@ class _Rule(NamedTuple):
         return self.family_id if self.j is None else f"{self.family_id}[j={self.j}]"
 
 
-class _System(NamedTuple):
-    """One prime's executed family system, one row per pair in generation order.
+@dataclass(eq=False)
+class _System:
+    """One prime's audit: its executed family system, one row per pair in
+    generation order, and the first-claim dedup it derives when built.
 
     Row i pairs cands[i] with parts[i] under rules[family[i]]; its witness
     chosen[i] is 0 if no residue lies in [1, (p-1)/2]. The rows of family f
     are starts[f] up to starts[f + 1], and starts ends with the row count.
+    rows holds the row numbers sorted by witness, then by row; element group
+    g is the run of counts[g] of them from head[g], element 0 left out.
+    ledger lists the groups of several claims, sanctioned is Case 1's
+    sanctioned overlap among them, or -1, and unsound is the first row
+    without a residue, or -1.
     """
 
     rules: list[_Rule]
@@ -191,35 +199,46 @@ class _System(NamedTuple):
     parts: np.ndarray
     chosen: np.ndarray
 
-
-@dataclass(eq=False)
-class _Columns:
-    """One prime's executed family system and its dedup, as columns.
-
-    keys holds each chosen[i] << bits | i, sorted, and element group g is
-    the run of counts[g] keys from head[g], element 0 left out. ledger lists
-    the groups of several claims, and sanctioned is Case 1's sanctioned
-    overlap among them, or -1."""
-
-    system: _System
-    keys: np.ndarray
-    bits: int
-    head: np.ndarray
-    counts: np.ndarray
-    ledger: np.ndarray
-    sanctioned: int
+    def __post_init__(self) -> None:
+        # Every witness claims its element, in generation order. Sorting
+        # element << bits | row groups equal elements with their claims still
+        # in that order, so each group's head is the first claim, and first
+        # claim wins: a family is credited only with elements no earlier
+        # family produced. This sort of unique keys is much faster than a
+        # stable argsort.
+        n = len(self.chosen)
+        bits = n.bit_length()
+        keys = self.chosen.astype(np.int64) << bits
+        keys |= np.arange(n, dtype=np.int64)
+        keys.sort()
+        ranked = keys >> bits
+        keys &= (1 << bits) - 1
+        self.rows = keys
+        # A group opens at the first row and wherever the witness changes; [:n]
+        # leaves a system without rows without groups.
+        head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1]))[:n])
+        counts = np.append(head[1:], n) - head
+        # Element 0 stands for the pairs without a residue; it claims nothing.
+        failed = int(n > 0 and ranked[0] == 0)
+        self.unsound = int(self.rows[0]) if failed else -1
+        self.head, self.counts = head[failed:], counts[failed:]
+        self.ledger = np.flatnonzero(self.counts > 1)
+        # Case 1 discounts exactly one overlap: the element 4, claimed first by
+        # the first family's pair (8, 4), then by the third family's element 4.
+        lo, hi = np.searchsorted(ranked, [4, 5]).tolist()
+        ids = [self.rules[f].family_id for f in self.family[self.rows[lo:hi]].tolist()]
+        self.sanctioned = int(np.searchsorted(self.head, lo)) if ids == ["C1_F1", "C1_F3"] else -1
 
     @cached_property
     def contributions(self) -> np.ndarray:
         """Distinct elements per family: each group's first claim owns it."""
-        first = self.keys[self.head] & ((1 << self.bits) - 1)
-        return np.bincount(self.system.family[first], minlength=len(self.system.rules))
+        return np.bincount(self.family[self.rows[self.head]], minlength=len(self.rules))
 
     def families(self) -> list[FamilyReport]:
         """A FamilyReport per rule, each a slice of the shared columns."""
-        s = self.system
-        slices = zip(*(np.split(c, s.starts[1:-1]) for c in (s.cands, s.parts, s.chosen)))
-        made = zip(s.rules, slices, self.contributions.tolist())
+        columns = (self.cands, self.parts, self.chosen)
+        slices = zip(*(np.split(c, self.starts[1:-1]) for c in columns))
+        made = zip(self.rules, slices, self.contributions.tolist())
         return [FamilyReport(r.family_id, r.bound, *c, r.j, n) for r, c, n in made]
 
     def entries(self, sel) -> Iterator[DedupEntry]:
@@ -227,26 +246,23 @@ class _Columns:
         groups = self.ledger[sel]
         head, counts = self.head[groups], self.counts[groups]
         offsets = np.cumsum(counts) - counts
-        rows = self.keys[np.repeat(head - offsets, counts) + np.arange(counts.sum())]
-        rows &= (1 << self.bits) - 1
-        s = self.system
-        columns = (s.family[rows].tolist(), rows.tolist(), s.cands[rows].tolist())
-        labels = iter([_site(s.rules[f], i - s.starts[f], c) for f, i, c in zip(*columns)])
+        rows = self.rows[np.repeat(head - offsets, counts) + np.arange(counts.sum())]
+        columns = (self.family[rows].tolist(), rows.tolist(), self.cands[rows].tolist())
+        labels = iter([_site(self.rules[f], i - self.starts[f], c) for f, i, c in zip(*columns)])
         sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
-        elements = (self.keys[head] >> self.bits).tolist()
+        elements = self.chosen[self.rows[head]].tolist()
         return _build(DedupEntry, elements, sites, (groups == self.sanctioned).tolist())
 
 
 # The small regime runs no family: its system has no rows.
 _EMPTY = np.zeros(0, np.intp)
 _NO_SYSTEM = _System([], [0], _EMPTY, _EMPTY, _EMPTY, _EMPTY)
-_NO_COLUMNS = _Columns(_NO_SYSTEM, _EMPTY, 0, _EMPTY, _EMPTY, _EMPTY, -1)
 
 
 @dataclass(eq=False)
 class ConstructionReport:
     """Full audit of the construction run for one prime. Its families, failed
-    pairs and ledger views are built from its columns when first read."""
+    pairs and ledger views are built from its family system when first read."""
 
     p: int
     case: str
@@ -259,11 +275,11 @@ class ConstructionReport:
     verdict: str
     # For a BoundViolation, the first claim that failed; empty otherwise.
     reason: str
-    _columns: _Columns = field(default=_NO_COLUMNS, repr=False)
+    _system: _System = field(default=_NO_SYSTEM, repr=False)
 
     @cached_property
     def families(self) -> list[FamilyReport]:
-        return self._columns.families()
+        return self._system.families()
 
     @cached_property
     def failed_pairs(self) -> list[PairWitness]:
@@ -272,13 +288,13 @@ class ConstructionReport:
     @cached_property
     def dedup_ledger(self) -> Rows:
         """The elements claimed by more than one site, in ascending order."""
-        return Rows(len(self._columns.ledger), self._columns.entries)
+        return Rows(len(self._system.ledger), self._system.entries)
 
     @cached_property
     def unexpected_duplicates(self) -> Rows:
         """The ledger's entries other than the sanctioned overlap."""
-        c = self._columns
-        return Rows(len(c.ledger), c.entries, np.flatnonzero(c.ledger != c.sanctioned))
+        s = self._system
+        return Rows(len(s.ledger), s.entries, np.flatnonzero(s.ledger != s.sanctioned))
 
     def to_json_dict(self) -> dict:
         fams = []
@@ -401,52 +417,23 @@ def _finalize(
     threshold: int,
     a_value: int,
 ) -> ConstructionReport:
-    """Dedup accounting, verdict and reason for an executed family system."""
-    rules, family, chosen = system.rules, system.family, system.chosen
+    """Verdict and reason for an executed family system."""
+    rules, family = system.rules, system.family
     if claimed_total != sum(rule.bound for rule in rules):
         raise ConsistencyError("family bounds do not aggregate to the claimed total")
-
-    # Every witness claims its element, in generation order. Sorting element
-    # << bits | row groups equal elements with their claims still in that
-    # order, so each group's head is the first claim, and first claim wins:
-    # a family is credited only with elements no earlier family produced.
-    # This sort of unique keys is much faster than a stable argsort.
-    n = len(chosen)
-    bits = n.bit_length()
-    keys = chosen.astype(np.int64) << bits
-    keys |= np.arange(n, dtype=np.int64)
-    keys.sort()
-    ranked = keys >> bits
-    head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    counts = np.append(head[1:], n) - head
-    # Element 0 stands for the pairs without a residue; it claims nothing.
-    failed = bool(ranked[0] == 0)
-    head, counts = head[failed:], counts[failed:]
-    distinct = len(head)
-    ledger = np.flatnonzero(counts > 1)
-    # Case 1 discounts exactly one overlap: the element 4, produced by the
-    # first family's pair (8, 4) and by the third family's element 4.
-    sanctioned = -1
-    if case == CASE_ONE:
-        lo, hi = np.searchsorted(ranked, [4, 5]).tolist()
-        owners = {rules[f].family_id for f in family[keys[lo:hi] & ((1 << bits) - 1)].tolist()}
-        if hi - lo == 2 and owners == {"C1_F1", "C1_F3"}:
-            sanctioned = int(np.searchsorted(head, lo))
-    unexpected = len(ledger) - (sanctioned >= 0)
-    cols = _Columns(system, keys, bits, head, counts, ledger, sanctioned)
+    distinct = len(system.head)
 
     # One ladder decides the verdict and, for a violation, its reason.
     verdict, reason = BOUND_VIOLATION, ""
-    if failed:
-        i = int(keys[0])
+    if (i := system.unsound) >= 0:
         reason = f"pair ({system.cands[i]}, {system.parts[i]}) in {rules[family[i]].family_id}: "
         reason += f"no residue lands in [1, {(op.value - 1) // 2}]"
-    elif unexpected:
+    elif len(system.ledger) > (system.sanctioned >= 0):
         verdict = DEDUP_ANOMALY
     elif distinct < threshold:
         reason = f"distinct {distinct} < threshold {threshold}"
-    elif (short := np.flatnonzero(cols.contributions < [r.bound for r in rules])).size:
-        rule, contributed = rules[short[0]], cols.contributions[short[0]]
+    elif (short := np.flatnonzero(system.contributions < [r.bound for r in rules])).size:
+        rule, contributed = rules[short[0]], system.contributions[short[0]]
         reason = f"family {rule.family_id} contributed {contributed} < bound {rule.bound}"
     else:
         verdict = VERIFIED
@@ -461,12 +448,12 @@ def _finalize(
         a_value=a_value,
         verdict=verdict,
         reason=reason,
-        _columns=cols,
+        _system=system,
     )
 
 
-def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> _System:
-    """The Case 1 (p = 8k+3) family system, run on the residue flags is_qr.
+def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
+    """The Case 1 (p = 8k+3) family system's columns, run on the residue flags is_qr.
 
     Families over A = [1, 4k+1], with 2 a non-residue:
 
@@ -519,11 +506,11 @@ def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> _System:
     for special in (half, half - 4):
         if not is_qr[special]:
             raise ConsistencyError(f"special element {special} must be a residue mod {pv}")
-    return _System(rules, starts, family, cands, parts, chosen)
+    return rules, starts, family, cands, parts, chosen
 
 
-def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> _System:
-    """The Case 2 (p = 8k+7) family system, run on the residue flags is_qr.
+def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
+    """The Case 2 (p = 8k+7) family system's columns, run on the residue flags is_qr.
 
     Over A = [1, 4k+3], with 2 a residue, every odd a in A pairs with
     (p-a)/2, which lies in [2k+2, 4k+3] and has the opposite symbol.
@@ -545,7 +532,7 @@ def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> _System:
     parts = (pv - cands) >> 1
     parts[_rows(rules, starts, two)] = pv - 2
     chosen, _ = _choose(rules, starts, family, cands, is_qr.take(cands), parts, is_qr)
-    return _System(rules, starts, family, cands, parts, chosen)
+    return rules, starts, family, cands, parts, chosen
 
 
 def _small_regime(op: OddPrime) -> ConstructionReport:
@@ -598,7 +585,8 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     run, claimed_total = (_case1_column, 2 * k + 1) if case == CASE_ONE else (_case2_column, 2 * k + 3)
-    system = run(pv, k, is_qr)
+    # The record is built once the case's temporaries are freed: its sort is the audit's peak.
+    system = _System(*run(pv, k, is_qr))
     half = (pv - 1) // 2
     a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
     return _finalize(op, case, system, claimed_total, (pv + 1) // 4, a_value)

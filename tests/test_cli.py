@@ -68,6 +68,12 @@ class TestSymbol:
         code, _, err = run(capsys, "symbol", "2", "9")
         assert code == 2 and "9" in err
 
+    def test_method_disagreement_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "legendre_reciprocity", lambda a, p: -1)
+        code, out, err = run(capsys, "symbol", "2", "7")
+        assert (code, out) == (1, "")
+        assert err == "method disagreement at (2/7): euler 1, reciprocity -1\n"
+
 
 class TestAsum:
     def test_plain(self, capsys):
@@ -480,6 +486,18 @@ class TestClassnum:
         code, out, _ = run(capsys, "classnum", "47", "--method", "charsum")
         assert code == 0 and out == "h(-47) = 5\n"
 
+    @pytest.mark.parametrize("method", ["forms", "charsum"])
+    def test_method_disagreement_exits_1(self, capsys, monkeypatch, method):
+        # One method off by one: only "both" compares them, and only it fails.
+        name = "reduced_forms_count" if method == "forms" else "class_number_character_sum"
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda p: real(p) + 1)
+        assert run(capsys, "classnum", "23", "--method", method) == (0, "h(-23) = 4\n", "")
+        code, out, err = run(capsys, "classnum", "23")
+        assert (code, out) == (1, "")
+        off = "forms 4, charsum 3" if method == "forms" else "forms 3, charsum 4"
+        assert err == f"method disagreement at p=23: {off}\n"
+
     def test_excluded_inputs(self, capsys):
         assert run(capsys, "classnum", "3")[0] == 2
         assert run(capsys, "classnum", "13")[0] == 2
@@ -510,6 +528,12 @@ class TestIdentity:
             capsys, "identity", "--from", "5", "--to", "50", "--l-check"
         )
         assert code == 0 and "failures: 0" in out
+
+    def test_l_check_validates_each_prime_once(self, capsys, is_prime_calls):
+        # The L estimate gets the prime its identity record validated.
+        code, out, _ = run(capsys, "identity", "--from", "7", "--to", "2000", "--l-check")
+        assert code == 0 and "failures: 0" in out
+        assert Counter(is_prime_calls) == Counter(oracles.primes_trial(7, 2000, 3, 4))
 
     def test_inverted_range(self, capsys):
         assert run(capsys, "identity", "--from", "10", "--to", "5")[0] == 2

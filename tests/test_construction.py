@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from halfsum.charsum import half_sum_sieve
-from halfsum.arith import OddPrime, legendre_euler
+from halfsum.arith import OddPrime, is_prime, legendre_euler
 from halfsum import construction
 from halfsum.construction import (
     BOUND_VIOLATION,
@@ -28,7 +28,7 @@ from halfsum.construction import (
     SMALL_REGIME,
     SMALL_REGIME_PRIMES,
     VERIFIED,
-    _Columns,
+    _System,
     build_report,
     case1_bounds,
     case2_bounds,
@@ -120,6 +120,18 @@ class TestRouting:
             build_report(13)
         with pytest.raises(ResourceLimitError, match="^p = 107 exceeds the construction limit 100$"):
             build_report(107)
+
+    @pytest.mark.parametrize("p, case, sanctioned", [(8388587, CASE_ONE, 1), (8388439, CASE_TWO, 0)])
+    def test_audit_at_the_construction_limit(self, p, case, sanctioned):
+        # The largest Case 1 and Case 2 primes below the limit: ~0.3 s and
+        # ~135 MB peak process RSS each on a 2-vCPU x86 host.
+        limit = construction._CONSTRUCT_LIMIT
+        assert p < limit and not any(map(is_prime, range(p + 8, limit, 8)))
+        report = build_report(p)
+        assert report.case == case
+        assert report.a_value == half_sum_sieve(p).a_value
+        assert sum(f.distinct_contribution for f in report.families) == report.distinct_qr_total
+        assert len(report.dedup_ledger) == len(report.unexpected_duplicates) + sanctioned
 
 
 # Frozen from the brute-force simulator: p -> (claimed_total, threshold,
@@ -475,7 +487,7 @@ class TestRowViews:
         def refuse(self, sel):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(_Columns, "entries", refuse)
+        monkeypatch.setattr(_System, "entries", refuse)
         monkeypatch.setattr(FamilyReport, "_witnesses", refuse)
         for p, unexpected in ((7, 0), (20011, 1095), (20023, 1222)):
             report = build_report(p)
