@@ -34,7 +34,7 @@ import random
 import sys
 import time
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import AbstractContextManager, ExitStack, contextmanager, nullcontext
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
@@ -271,18 +271,26 @@ def _write_summary(args, rows: list[RangeRow], violations, anomalies, out: TextI
 
 
 @contextmanager
-def _output(path: Optional[str]) -> Iterator[TextIO]:
-    """The --out file opened for writing, or stdout when no path is given."""
+def _output(path: Optional[str]) -> Iterator[Callable[[], AbstractContextManager[TextIO]]]:
+    """An opener of the --out file for writing, or of stdout when no path is given.
+
+    The file is opened for append on entry, so an unwritable path fails
+    before any work, and an existing file keeps its bytes until the opener
+    is called, once the output is ready: a command that stops before then
+    leaves it as it was. The append handle stays open until exit, so a
+    pipe's reader sees a writer throughout.
+    """
     if path is None:
-        yield sys.stdout
+        yield partial(nullcontext, sys.stdout)
         return
-    with open(path, "w") as out:
-        yield out
+    with open(path, "a"):
+        yield partial(open, path, "w")
 
 
 def cmd_symbol(args) -> int:
-    value = legendre_euler(args.a, args.p)
-    check = legendre_reciprocity(args.a, args.p)
+    op = OddPrime(args.p)
+    value = legendre_euler(args.a, op)
+    check = legendre_reciprocity(args.a, op)
     if value != check:
         print(
             f"method disagreement at ({args.a}/{args.p}): "
@@ -342,9 +350,10 @@ def _render_construct_text(report, out: TextIO) -> None:
 
 def cmd_construct(args) -> int:
     report = build_report(args.p)
-    with _output(args.out) as out:
+    with _output(args.out) as output, output() as out:
         if args.json:
-            json.dump(report.to_json_dict(), out, indent=2)
+            # json writes as it encodes; default lists each witness view it reaches.
+            json.dump(report.to_json_dict(), out, indent=2, default=list)
             out.write("\n")
         else:
             _render_construct_text(report, out)
@@ -354,7 +363,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     results = _sweep(args.lo, args.hi, args.jobs, partial(_check_primes, fast_bound=args.fast))
     started = time.monotonic()
-    with _output(args.out) as out:
+    with _output(args.out) as output:
         rows, violations, anomalies = [], [], []
         for row, found, anomaly in results:
             rows.append(row)
@@ -363,15 +372,17 @@ def cmd_verify(args) -> int:
                 anomalies.append(anomaly)
         if args.strict:
             violations.extend((p, DEDUP_ANOMALY, excerpt) for p, excerpt in anomalies)
-        _write_summary(args, rows, violations, anomalies, out)
+        with output() as out:
+            _write_summary(args, rows, violations, anomalies, out)
     print(f"wall time: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return 1 if violations else 0
 
 
 def cmd_classnum(args) -> int:
     methods = (("forms", reduced_forms_count), ("charsum", class_number_character_sum))
+    op = OddPrime(args.p)
     # h(-p) by each method asked for, in that order: one value, or two to agree.
-    h = [count(args.p) for name, count in methods if args.method in (name, "both")]
+    h = [count(op) for name, count in methods if args.method in (name, "both")]
     if h[0] != h[-1]:
         print(f"method disagreement at p={args.p}: forms {h[0]}, charsum {h[1]}", file=sys.stderr)
         return 1

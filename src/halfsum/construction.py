@@ -22,15 +22,18 @@ witnesses and ledger entries are Rows, which build only the rows read.
 
 Failures are never patched over; they become structured verdicts:
 
-  - BoundViolation: some pair has no residue inside A (or a count bound
-    fails with the dedup ledger otherwise clean);
+  - BoundViolation: some pair has no residue inside A (or, with the dedup
+    ledger otherwise clean, the distinct count misses (p+1)/4 or a family
+    misses its bound);
   - DedupAnomaly: all pairs are sound but unsanctioned duplicates were
     observed, so distinct counts may fall short of the claims;
   - Verified: sound pairs, no unsanctioned duplicates, threshold and all
     bounds met.
 
 Case 1 covers p = 8k+3 (where 2 is a non-residue), Case 2 covers p = 8k+7
-(where 2 is a residue); primes p <= 31 are verified directly from A(p).
+(where 2 is a residue). Primes p <= 31 run no family: their residues in A
+are counted directly and go up the same ladder, which _finalize holds for
+every report.
 
 build_report(p) is the one entry point. It classifies p, refuses p above
 _CONSTRUCT_LIMIT before any table is built (which bounds the memory of one
@@ -68,7 +71,7 @@ SMALL_REGIME_PRIMES = (3, 7, 11, 19, 23, 31)
 
 # An audit makes about p/4 pairs and peaks near 48 bytes per pair (traced
 # at p = 1000003), so at this limit it stays near 100 MB; construct --json,
-# which also builds every witness, peaks near 360 bytes per pair, ~0.75 GB.
+# which also builds one family's witnesses at a time, near 195, ~0.4 GB.
 # Elements and their doubles stay far below 2^31, so the columns are int32.
 _CONSTRUCT_LIMIT = 1 << 23
 _INT = np.int32
@@ -275,7 +278,7 @@ class ConstructionReport:
     verdict: str
     # For a BoundViolation, the first claim that failed; empty otherwise.
     reason: str
-    _system: _System = field(default=_NO_SYSTEM, repr=False)
+    _system: _System = field(repr=False)
 
     @cached_property
     def families(self) -> list[FamilyReport]:
@@ -304,7 +307,8 @@ class ConstructionReport:
                 entry["j"] = f.subfamily
             entry["bound"] = f.claimed_bound
             entry["contributed"] = f.distinct_contribution
-            entry["witnesses"] = [list(w) for w in f.witnesses]
+            # A view: json.dump(..., default=list) builds one family's rows at a time.
+            entry["witnesses"] = f.witnesses
             fams.append(entry)
         return {
             "schema": 1,
@@ -416,12 +420,12 @@ def _finalize(
     claimed_total: int,
     threshold: int,
     a_value: int,
+    distinct: int,
 ) -> ConstructionReport:
-    """Verdict and reason for an executed family system."""
+    """Every audit's report, its verdict and reason decided by the one ladder."""
     rules, family = system.rules, system.family
     if claimed_total != sum(rule.bound for rule in rules):
         raise ConsistencyError("family bounds do not aggregate to the claimed total")
-    distinct = len(system.head)
 
     # One ladder decides the verdict and, for a violation, its reason.
     verdict, reason = BOUND_VIOLATION, ""
@@ -535,31 +539,6 @@ def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     return rules, starts, family, cands, parts, chosen
 
 
-def _small_regime(op: OddPrime) -> ConstructionReport:
-    """Direct verification A(p) > 0 for p = 3 mod 4 with p <= 31.
-
-    The family system assumes p > 31; below that the half interval is
-    checked outright, symbol by symbol, with no residue table, so families
-    are empty and distinct_qr_total is the true residue count in
-    [1, (p-1)/2].
-    """
-    rec = half_sum_direct(op)
-    threshold = (op.value + 1) // 4
-    # For p = 3 mod 4, A(p) <= 0 exactly when the residue count misses the
-    # threshold, so that is the reason a violation reports.
-    return ConstructionReport(
-        p=op.value,
-        case=SMALL_REGIME,
-        k=op.k,
-        required_threshold=threshold,
-        claimed_total=0,
-        distinct_qr_total=rec.qr_count,
-        a_value=rec.a_value,
-        verdict=VERIFIED if rec.a_value > 0 else BOUND_VIOLATION,
-        reason="" if rec.a_value > 0 else f"distinct {rec.qr_count} < threshold {threshold}",
-    )
-
-
 def build_report(p: int | OddPrime) -> ConstructionReport:
     """Run and audit the construction for any prime p = 3 mod 4.
 
@@ -570,9 +549,13 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
     """
     op = as_prime(p)
     case = classify_case(op)
-    if case == SMALL_REGIME:
-        return _small_regime(op)
     pv, k = op.value, op.k
+    threshold = (pv + 1) // 4
+    if case == SMALL_REGIME:
+        # No family, no table: for p = 3 mod 4 the direct residue count
+        # misses the threshold exactly when A(p) <= 0, and the ladder says so.
+        rec = half_sum_direct(op)
+        return _finalize(op, case, _NO_SYSTEM, 0, threshold, rec.a_value, rec.qr_count)
     if pv > _CONSTRUCT_LIMIT:
         raise ResourceLimitError(f"p = {pv} exceeds the construction limit {_CONSTRUCT_LIMIT}")
     is_qr = _qr_marks(pv).view(bool)
@@ -589,4 +572,4 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
     system = _System(*run(pv, k, is_qr))
     half = (pv - 1) // 2
     a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
-    return _finalize(op, case, system, claimed_total, (pv + 1) // 4, a_value)
+    return _finalize(op, case, system, claimed_total, threshold, a_value, len(system.head))

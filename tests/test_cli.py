@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
@@ -67,6 +68,12 @@ class TestSymbol:
     def test_composite_modulus(self, capsys):
         code, _, err = run(capsys, "symbol", "2", "9")
         assert code == 2 and "9" in err
+
+    def test_validates_the_prime_once(self, capsys, is_prime_calls):
+        # Both methods get the prime the command validated.
+        assert run(capsys, "symbol", "2", "7") == (0, "+1\n", "")
+        assert is_prime_calls == [7]
+        assert run(capsys, "symbol", "2", "9") == (2, "", "error: 9 is not an odd prime\n")
 
     def test_method_disagreement_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "legendre_reciprocity", lambda a, p: -1)
@@ -169,6 +176,24 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "43", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+    def test_json_memory_per_pair(self, capsys, tmp_path):
+        # json writes as it encodes and builds one family's witnesses at a
+        # time. Traced peak of the whole command at p = 50051 (12514 pairs):
+        # ~196 B per pair, against ~338 B when every witness was listed
+        # before the first byte was written.
+        target = tmp_path / "report.json"
+        pairs = sum(f.pairs for f in construction.build_report(50051).families)
+        run(capsys, "construct", "50051", "--json", "--out", str(target))
+        tracemalloc.start()
+        try:
+            code = main(["construct", "50051", "--json", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and capsys.readouterr() == ("", "")
+        assert json.loads(target.read_text())["p"] == 50051
+        assert peak / pairs < 260
 
 
 def usable_cpus(monkeypatch, count):
@@ -465,6 +490,17 @@ class TestVerify:
         assert code == 0 and out == ""
         assert target.read_text().startswith("p,case,A,claimed,distinct,verdict")
 
+    def test_out_kept_when_a_limit_stops_the_sweep(self, capsys, monkeypatch, tmp_path):
+        # The sweep audits every prime below the limit before it stops with
+        # exit 2; the file is emptied only once the summary is ready.
+        monkeypatch.setattr(construction, "_CONSTRUCT_LIMIT", 100)
+        target = tmp_path / "sweep.txt"
+        target.write_text("kept\n")
+        code, out, err = run(capsys, "verify", "--from", "3", "--to", "200", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: p = 103 exceeds the construction limit 100\n"
+        assert target.read_text() == "kept\n"
+
     def test_unwritable_out_fails_before_sweep(self, capsys, tmp_path):
         target = tmp_path / "missing" / "sweep.csv"
         code, out, err = run(
@@ -502,6 +538,19 @@ class TestClassnum:
         assert run(capsys, "classnum", "3")[0] == 2
         assert run(capsys, "classnum", "13")[0] == 2
         assert run(capsys, "classnum", "15")[0] == 2
+
+    def test_validates_the_prime_once(self, capsys, is_prime_calls):
+        # Both methods get the prime the command validated; the texts of the
+        # refusals are those of the prime check and the methods' own checks.
+        assert run(capsys, "classnum", "23") == (0, "h(-23) = 3\n", "")
+        assert is_prime_calls == [23]
+        refusals = {
+            "21": "21 is not an odd prime",
+            "13": "p must be 3 mod 4, got 13",
+            "3": "p = 3 is excluded (six units in Q(sqrt(-3)))",
+        }
+        for p, text in refusals.items():
+            assert run(capsys, "classnum", p) == (2, "", f"error: {text}\n")
 
     def test_past_the_class_number_limit(self, capsys):
         # Counting forms at p ~ 10^12 would take hours; every method stops

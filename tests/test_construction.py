@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from halfsum.charsum import half_sum_sieve
+from halfsum.charsum import HalfSumRecord, half_sum_sieve
 from halfsum.arith import OddPrime, is_prime, legendre_euler
 from halfsum import construction
 from halfsum.construction import (
@@ -96,6 +96,17 @@ class TestSmallRegime:
         r = build_report(31)
         assert r.distinct_qr_total == 9
         assert half_sum_sieve(31).a_value == 3
+
+    def test_count_below_threshold_is_a_violation(self, monkeypatch):
+        # No small prime misses the threshold, so a direct count of 4 of the
+        # 9 elements of [1, 9] is injected at p = 19, where (p+1)/4 = 5.
+        monkeypatch.setattr(
+            construction, "half_sum_direct", lambda op: HalfSumRecord(op.value, 4, 5, -1, "direct")
+        )
+        report = build_report(19)
+        assert (report.case, report.a_value, report.distinct_qr_total) == (SMALL_REGIME, -1, 4)
+        assert (report.verdict, report.reason) == (BOUND_VIOLATION, "distinct 4 < threshold 5")
+        assert report.families == [] and not report.dedup_ledger
 
     def test_verified_implies_positive_sum(self):
         for p in SMALL_REGIME_PRIMES:
@@ -359,7 +370,7 @@ class TestVerdictLadder:
         family = np.array([0, 0, 1], dtype=np.uint8)
         chosen = np.array([3, 11, 2], dtype=np.int32)
         system = construction._System(rules, [0, 2, 3], family, chosen, chosen // 2, chosen)
-        report = construction._finalize(OddPrime(47), CASE_TWO, system, f1_bound + 1, threshold, 5)
+        report = construction._finalize(OddPrime(47), CASE_TWO, system, f1_bound + 1, threshold, 5, 3)
         assert not report.failed_pairs and not report.dedup_ledger and report.distinct_qr_total == 3
         return report
 
