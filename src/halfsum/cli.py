@@ -11,7 +11,8 @@ Subcommands:
   lemma      exact floor-series identity check
 
 Exit codes: 0 all checks passed, 1 a mathematical claim failed
-verification, 2 usage, input or I/O error.
+verification, 2 usage, input or I/O error, a resource limit or a failed
+allocation.
 
 verify and identity run through one sweep, which checks the range once
 and reads primes one sieve segment at a time; identity counts the reduced
@@ -394,9 +395,7 @@ def cmd_identity(args) -> int:
     # A prime's failure is printed before its --l-check can stop the command.
     results = _sweep(args.lo, args.hi, 1, _identity_records)
     if args.l_terms is not None and not 1 <= args.l_terms <= _L_TERMS_LIMIT:
-        bounds = f"[1, {_L_TERMS_LIMIT}]"
-        print(f"error: --l-terms must be in {bounds}, got {args.l_terms}", file=sys.stderr)
-        return 2
+        raise DomainError(f"--l-terms must be in [1, {_L_TERMS_LIMIT}], got {args.l_terms}")
     failures = 0
     checked = 0
     for rec in results:
@@ -427,8 +426,7 @@ def cmd_identity(args) -> int:
 def cmd_lemma(args) -> int:
     for flag, value in (("--check-up-to", args.check_up_to), ("--rationals", args.rationals)):
         if value is not None and value < 0:
-            print(f"error: {flag} must be >= 0, got {value}", file=sys.stderr)
-            return 2
+            raise DomainError(f"{flag} must be >= 0, got {value}")
     failures = 0
     for x in range(0, args.check_up_to + 1):
         if floor_half_series(x) != x:
@@ -566,6 +564,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DomainError, ResourceLimitError, OSError, *_pool_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

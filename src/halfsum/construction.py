@@ -12,13 +12,13 @@ evaluation, and audits three separate claims:
      sanctioned overlap (the element 4 in Case 1, which the count bounds
      already discount).
 
-A prime's audit is one record, _System: its families run as one witness
-column in generation order, built from the case's rule table, with a uint8
-column naming each row's family, and the record derives its first-claim
-dedup with one sort of that column when built. The verdict and reason are
-decided from its arrays. The report keeps the record and builds its
-families, failed pairs and ledger from it when they are first read, and
-witnesses and ledger entries are Rows, which build only the rows read.
+A prime's audit is one record, ConstructionReport: its families run as one
+witness column in generation order, built from the case's rule table, with
+a uint8 column naming each row's family. When built, the report derives its
+first-claim dedup with one sort of that column and decides its verdict and
+reason from its arrays. It builds its families and failed pairs when they
+are first read, and witnesses and ledger entries are Rows, which build only
+the rows read.
 
 Failures are never patched over; they become structured verdicts:
 
@@ -32,8 +32,8 @@ Failures are never patched over; they become structured verdicts:
 
 Case 1 covers p = 8k+3 (where 2 is a non-residue), Case 2 covers p = 8k+7
 (where 2 is a residue). Primes p <= 31 run no family: their residues in A
-are counted directly and go up the same ladder, which _finalize holds for
-every report.
+are counted directly and go up the same ladder, which the report holds for
+every prime.
 
 build_report(p) is the one entry point. It classifies p, refuses p above
 _CONSTRUCT_LIMIT before any table is built (which bounds the memory of one
@@ -65,9 +65,6 @@ SMALL_REGIME = "SmallRegime"
 VERIFIED = "Verified"
 BOUND_VIOLATION = "BoundViolation"
 DEDUP_ANOMALY = "DedupAnomaly"
-
-# Primes handled by direct verification instead of the construction.
-SMALL_REGIME_PRIMES = (3, 7, 11, 19, 23, 31)
 
 # An audit makes about p/4 pairs and peaks near 48 bytes per pair (traced
 # at p = 1000003), so at this limit it stays near 100 MB; construct --json,
@@ -181,34 +178,47 @@ class _Rule(NamedTuple):
 
 
 @dataclass(eq=False)
-class _System:
-    """One prime's audit: its executed family system, one row per pair in
-    generation order, and the first-claim dedup it derives when built.
+class ConstructionReport:
+    """Full audit of the construction run for one prime, from its executed
+    family system: one row per pair in generation order.
 
-    Row i pairs cands[i] with parts[i] under rules[family[i]]; its witness
-    chosen[i] is 0 if no residue lies in [1, (p-1)/2]. The rows of family f
-    are starts[f] up to starts[f + 1], and starts ends with the row count.
-    rows holds the row numbers sorted by witness, then by row; element group
-    g is the run of counts[g] of them from head[g], element 0 left out.
-    ledger lists the groups of several claims, sanctioned is Case 1's
-    sanctioned overlap among them, or -1, and unsound is the first row
-    without a residue, or -1.
+    Row i pairs candidates[i] with partners[i] under rules[family[i]]; its
+    witness chosen[i] is 0 if no residue lies in [1, (p-1)/2]. The rows of
+    family f are starts[f] up to starts[f + 1], and starts ends with the row
+    count. When built, the report derives its first-claim dedup and decides
+    its verdict and, for a BoundViolation, the first claim that failed as
+    reason. distinct_qr_total is the count of distinct witnesses unless
+    given. Its families and failed pairs are built when first read.
     """
 
-    rules: list[_Rule]
-    starts: list[int]
-    family: np.ndarray
-    cands: np.ndarray
-    parts: np.ndarray
-    chosen: np.ndarray
+    p: int
+    case: str
+    k: int
+    required_threshold: int
+    claimed_total: int
+    # A(p), counted from the residue flags the audit read; not in the JSON.
+    a_value: int
+    rules: list[_Rule] = field(repr=False)
+    starts: list[int] = field(repr=False)
+    family: np.ndarray = field(repr=False)
+    candidates: np.ndarray = field(repr=False)
+    partners: np.ndarray = field(repr=False)
+    chosen: np.ndarray = field(repr=False)
+    distinct_qr_total: Optional[int] = None
+    verdict: str = field(init=False)
+    reason: str = field(init=False)
 
     def __post_init__(self) -> None:
+        rules = self.rules
+        if self.claimed_total != sum(rule.bound for rule in rules):
+            raise ConsistencyError("family bounds do not aggregate to the claimed total")
         # Every witness claims its element, in generation order. Sorting
         # element << bits | row groups equal elements with their claims still
         # in that order, so each group's head is the first claim, and first
         # claim wins: a family is credited only with elements no earlier
         # family produced. This sort of unique keys is much faster than a
-        # stable argsort.
+        # stable argsort. _rows holds the row numbers so sorted; element group
+        # g is the run of _counts[g] of them from _head[g], element 0 left out.
         n = len(self.chosen)
         bits = n.bit_length()
         keys = self.chosen.astype(np.int64) << bits
@@ -216,88 +226,84 @@ class _System:
         keys.sort()
         ranked = keys >> bits
         keys &= (1 << bits) - 1
-        self.rows = keys
+        self._rows = keys
         # A group opens at the first row and wherever the witness changes; [:n]
         # leaves a system without rows without groups.
         head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1]))[:n])
         counts = np.append(head[1:], n) - head
         # Element 0 stands for the pairs without a residue; it claims nothing.
         failed = int(n > 0 and ranked[0] == 0)
-        self.unsound = int(self.rows[0]) if failed else -1
-        self.head, self.counts = head[failed:], counts[failed:]
-        self.ledger = np.flatnonzero(self.counts > 1)
-        # Case 1 discounts exactly one overlap: the element 4, claimed first by
-        # the first family's pair (8, 4), then by the third family's element 4.
+        self._head, self._counts = head[failed:], counts[failed:]
+        # _ledger lists the groups of several claims. Case 1 discounts exactly
+        # one overlap among them, _sanctioned, or -1: the element 4, claimed
+        # first by the first family's pair (8, 4), then by the third family's
+        # element 4.
+        self._ledger = np.flatnonzero(self._counts > 1)
         lo, hi = np.searchsorted(ranked, [4, 5]).tolist()
-        ids = [self.rules[f].family_id for f in self.family[self.rows[lo:hi]].tolist()]
-        self.sanctioned = int(np.searchsorted(self.head, lo)) if ids == ["C1_F1", "C1_F3"] else -1
+        ids = [rules[f].family_id for f in self.family[keys[lo:hi]].tolist()]
+        self._sanctioned = int(np.searchsorted(self._head, lo)) if ids == ["C1_F1", "C1_F3"] else -1
+        if self.distinct_qr_total is None:
+            self.distinct_qr_total = len(self._head)
+
+        # One ladder decides the verdict and, for a violation, its reason.
+        distinct, threshold = self.distinct_qr_total, self.required_threshold
+        self.verdict, self.reason = BOUND_VIOLATION, ""
+        if failed:
+            i = int(keys[0])
+            pair = f"({self.candidates[i]}, {self.partners[i]})"
+            self.reason = f"pair {pair} in {rules[self.family[i]].family_id}: "
+            self.reason += f"no residue lands in [1, {(self.p - 1) // 2}]"
+        elif len(self._ledger) > (self._sanctioned >= 0):
+            self.verdict = DEDUP_ANOMALY
+        elif distinct < threshold:
+            self.reason = f"distinct {distinct} < threshold {threshold}"
+        elif (short := np.flatnonzero(self._contributions < [r.bound for r in rules])).size:
+            rule, contributed = rules[short[0]], self._contributions[short[0]]
+            self.reason = f"family {rule.family_id} contributed {contributed} < bound {rule.bound}"
+        else:
+            self.verdict = VERIFIED
 
     @cached_property
-    def contributions(self) -> np.ndarray:
+    def _contributions(self) -> np.ndarray:
         """Distinct elements per family: each group's first claim owns it."""
-        return np.bincount(self.family[self.rows[self.head]], minlength=len(self.rules))
+        return np.bincount(self.family[self._rows[self._head]], minlength=len(self.rules))
 
+    @cached_property
     def families(self) -> list[FamilyReport]:
         """A FamilyReport per rule, each a slice of the shared columns."""
-        columns = (self.cands, self.parts, self.chosen)
+        columns = (self.candidates, self.partners, self.chosen)
         slices = zip(*(np.split(c, self.starts[1:-1]) for c in columns))
-        made = zip(self.rules, slices, self.contributions.tolist())
+        made = zip(self.rules, slices, self._contributions.tolist())
         return [FamilyReport(r.family_id, r.bound, *c, r.j, n) for r, c, n in made]
-
-    def entries(self, sel) -> Iterator[DedupEntry]:
-        """DedupEntry objects, site labels included, for the ledger groups sel picks."""
-        groups = self.ledger[sel]
-        head, counts = self.head[groups], self.counts[groups]
-        offsets = np.cumsum(counts) - counts
-        rows = self.rows[np.repeat(head - offsets, counts) + np.arange(counts.sum())]
-        columns = (self.family[rows].tolist(), rows.tolist(), self.cands[rows].tolist())
-        labels = iter([_site(self.rules[f], i - self.starts[f], c) for f, i, c in zip(*columns)])
-        sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
-        elements = self.chosen[self.rows[head]].tolist()
-        return _build(DedupEntry, elements, sites, (groups == self.sanctioned).tolist())
-
-
-# The small regime runs no family: its system has no rows.
-_EMPTY = np.zeros(0, np.intp)
-_NO_SYSTEM = _System([], [0], _EMPTY, _EMPTY, _EMPTY, _EMPTY)
-
-
-@dataclass(eq=False)
-class ConstructionReport:
-    """Full audit of the construction run for one prime. Its families, failed
-    pairs and ledger views are built from its family system when first read."""
-
-    p: int
-    case: str
-    k: int
-    required_threshold: int
-    claimed_total: int
-    distinct_qr_total: int
-    # A(p), counted from the residue flags the audit read; not in the JSON.
-    a_value: int
-    verdict: str
-    # For a BoundViolation, the first claim that failed; empty otherwise.
-    reason: str
-    _system: _System = field(repr=False)
-
-    @cached_property
-    def families(self) -> list[FamilyReport]:
-        return self._system.families()
 
     @cached_property
     def failed_pairs(self) -> list[PairWitness]:
         return [w for f in self.families for w in f.failed_pairs]
 
-    @cached_property
+    # The two ledger views are not cached: a view holds self._entries, and a
+    # report that held it would keep itself alive until the cyclic GC ran.
+    @property
     def dedup_ledger(self) -> Rows:
         """The elements claimed by more than one site, in ascending order."""
-        return Rows(len(self._system.ledger), self._system.entries)
+        return Rows(len(self._ledger), self._entries)
 
-    @cached_property
+    @property
     def unexpected_duplicates(self) -> Rows:
         """The ledger's entries other than the sanctioned overlap."""
-        s = self._system
-        return Rows(len(s.ledger), s.entries, np.flatnonzero(s.ledger != s.sanctioned))
+        others = np.flatnonzero(self._ledger != self._sanctioned)
+        return Rows(len(self._ledger), self._entries, others)
+
+    def _entries(self, sel) -> Iterator[DedupEntry]:
+        """DedupEntry objects, site labels included, for the ledger groups sel picks."""
+        groups = self._ledger[sel]
+        head, counts = self._head[groups], self._counts[groups]
+        offsets = np.cumsum(counts) - counts
+        rows = self._rows[np.repeat(head - offsets, counts) + np.arange(counts.sum())]
+        columns = (self.family[rows].tolist(), rows.tolist(), self.candidates[rows].tolist())
+        labels = iter([_site(self.rules[f], i - self.starts[f], c) for f, i, c in zip(*columns)])
+        sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
+        elements = self.chosen[self._rows[head]].tolist()
+        return _build(DedupEntry, elements, sites, (groups == self._sanctioned).tolist())
 
     def to_json_dict(self) -> dict:
         fams = []
@@ -413,49 +419,6 @@ def _site(rule: _Rule, i: int, candidate: int) -> str:
     return f"{rule.family_id}[h={i}]"
 
 
-def _finalize(
-    op: OddPrime,
-    case: str,
-    system: _System,
-    claimed_total: int,
-    threshold: int,
-    a_value: int,
-    distinct: int,
-) -> ConstructionReport:
-    """Every audit's report, its verdict and reason decided by the one ladder."""
-    rules, family = system.rules, system.family
-    if claimed_total != sum(rule.bound for rule in rules):
-        raise ConsistencyError("family bounds do not aggregate to the claimed total")
-
-    # One ladder decides the verdict and, for a violation, its reason.
-    verdict, reason = BOUND_VIOLATION, ""
-    if (i := system.unsound) >= 0:
-        reason = f"pair ({system.cands[i]}, {system.parts[i]}) in {rules[family[i]].family_id}: "
-        reason += f"no residue lands in [1, {(op.value - 1) // 2}]"
-    elif len(system.ledger) > (system.sanctioned >= 0):
-        verdict = DEDUP_ANOMALY
-    elif distinct < threshold:
-        reason = f"distinct {distinct} < threshold {threshold}"
-    elif (short := np.flatnonzero(system.contributions < [r.bound for r in rules])).size:
-        rule, contributed = rules[short[0]], system.contributions[short[0]]
-        reason = f"family {rule.family_id} contributed {contributed} < bound {rule.bound}"
-    else:
-        verdict = VERIFIED
-
-    return ConstructionReport(
-        p=op.value,
-        case=case,
-        k=op.k,
-        required_threshold=threshold,
-        claimed_total=claimed_total,
-        distinct_qr_total=distinct,
-        a_value=a_value,
-        verdict=verdict,
-        reason=reason,
-        _system=system,
-    )
-
-
 def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     """The Case 1 (p = 8k+3) family system's columns, run on the residue flags is_qr.
 
@@ -555,7 +518,9 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
         # No family, no table: for p = 3 mod 4 the direct residue count
         # misses the threshold exactly when A(p) <= 0, and the ladder says so.
         rec = half_sum_direct(op)
-        return _finalize(op, case, _NO_SYSTEM, 0, threshold, rec.a_value, rec.qr_count)
+        none = np.zeros(0, _INT)
+        columns = [], [0], none, none, none, none
+        return ConstructionReport(pv, case, k, threshold, 0, rec.a_value, *columns, rec.qr_count)
     if pv > _CONSTRUCT_LIMIT:
         raise ResourceLimitError(f"p = {pv} exceeds the construction limit {_CONSTRUCT_LIMIT}")
     is_qr = _qr_marks(pv).view(bool)
@@ -568,8 +533,7 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
         raise ConsistencyError(f"(-1/{pv}) must be -1 when p = 3 mod 4")
 
     run, claimed_total = (_case1_column, 2 * k + 1) if case == CASE_ONE else (_case2_column, 2 * k + 3)
-    # The record is built once the case's temporaries are freed: its sort is the audit's peak.
-    system = _System(*run(pv, k, is_qr))
     half = (pv - 1) // 2
     a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
-    return _finalize(op, case, system, claimed_total, threshold, a_value, len(system.head))
+    # The report is built once the case's temporaries are freed: its sort is the audit's peak.
+    return ConstructionReport(pv, case, k, threshold, claimed_total, a_value, *run(pv, k, is_qr))

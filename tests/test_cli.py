@@ -8,6 +8,7 @@ failed verification, 2 usage error.
 import concurrent.futures
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -176,6 +177,33 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "43", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(p):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_report", exhausted)
+        for argv in (("construct", "43"), ("verify", "--from", "3", "--to", "100")):
+            assert run(capsys, *argv) == (2, "", "error: out of memory\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_failed_allocation_exits_2(self):
+        # The audit of 8388587, just below the construction limit, needs about
+        # 100 MB; the child may map only 64 MB more than it has after import.
+        script = """
+import resource, sys
+from halfsum import cli
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), hard))
+sys.exit(cli.main(["construct", "8388587"]))
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
     def test_json_memory_per_pair(self, capsys, tmp_path):
         # json writes as it encodes and builds one family's witnesses at a
@@ -838,6 +866,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestNoCycles:
+    def test_commands_leave_no_cyclic_garbage(self, capsys):
+        # Every object a command makes is freed by reference counting: a
+        # cycle would keep, say, each audited prime's report until the
+        # cyclic GC ran.
+        gc.collect()
+        gc.disable()
+        try:
+            for command in ("verify", "identity"):
+                code, _, _ = run(capsys, command, "--from", "3", "--to", "3000")
+                assert code in (0, 1) and gc.collect() == 0, command
+        finally:
+            gc.enable()
 
 
 class TestOneParser:

@@ -10,25 +10,26 @@ DedupAnomaly rather than Verified. The first outright pair failure
 (no residue of the pair inside the half interval) occurs at p = 107.
 """
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
 from halfsum.charsum import HalfSumRecord, half_sum_sieve
-from halfsum.arith import OddPrime, is_prime, legendre_euler
+from halfsum.arith import is_prime, legendre_euler
 from halfsum import construction
 from halfsum.construction import (
     BOUND_VIOLATION,
     CASE_ONE,
     CASE_TWO,
     DEDUP_ANOMALY,
+    ConstructionReport,
     FamilyReport,
     SMALL_REGIME,
-    SMALL_REGIME_PRIMES,
     VERIFIED,
-    _System,
     build_report,
     case1_bounds,
     case2_bounds,
@@ -82,7 +83,7 @@ class TestBounds:
 
 class TestSmallRegime:
     def test_all_six_primes_verified(self):
-        for p in SMALL_REGIME_PRIMES:
+        for p in oracles.primes_trial(3, 31, 3, 4):
             report = build_report(p)
             assert report.case == SMALL_REGIME
             assert report.verdict == VERIFIED
@@ -109,7 +110,7 @@ class TestSmallRegime:
         assert report.families == [] and not report.dedup_ledger
 
     def test_verified_implies_positive_sum(self):
-        for p in SMALL_REGIME_PRIMES:
+        for p in oracles.primes_trial(3, 31, 3, 4):
             if build_report(p).verdict == VERIFIED:
                 assert half_sum_sieve(p).a_value > 0
 
@@ -309,7 +310,7 @@ class TestStructuralInvariants:
 
     def test_a_value_matches_brute(self, reports):
         # Every p = 3 mod 4 up to 1500: the small regime and both cases.
-        for report in [build_report(p) for p in SMALL_REGIME_PRIMES] + reports:
+        for report in [build_report(p) for p in oracles.primes_trial(3, 31, 3, 4)] + reports:
             assert report.a_value == oracles.half_sum_brute(report.p), report.p
 
     def test_reason_only_for_violations(self, reports):
@@ -369,8 +370,8 @@ class TestVerdictLadder:
         rules = [rule("C2_F3MOD8", f1_bound, 3, 12, 8), rule("C2_TWO", 1, 2, 3, 1, ratio=False)]
         family = np.array([0, 0, 1], dtype=np.uint8)
         chosen = np.array([3, 11, 2], dtype=np.int32)
-        system = construction._System(rules, [0, 2, 3], family, chosen, chosen // 2, chosen)
-        report = construction._finalize(OddPrime(47), CASE_TWO, system, f1_bound + 1, threshold, 5, 3)
+        columns = rules, [0, 2, 3], family, chosen, chosen // 2, chosen
+        report = ConstructionReport(47, CASE_TWO, 5, threshold, f1_bound + 1, 5, *columns)
         assert not report.failed_pairs and not report.dedup_ledger and report.distinct_qr_total == 3
         return report
 
@@ -494,11 +495,26 @@ class TestRowViews:
         digest = hashlib.sha256(repr(ledger).encode()).hexdigest()
         assert (len(ledger), sum(len(e.sites) for e in ledger), digest) == LEDGER_DIGESTS[p]
 
+    def test_released_report_is_freed_without_the_cyclic_gc(self):
+        # No view a report caches may hold the report: a cycle would keep
+        # every audited prime's arrays until the cyclic GC ran.
+        gc.disable()
+        try:
+            for p in (19, 107, 20011, 20023):
+                report = build_report(p)
+                report.families, report.failed_pairs, report.to_json_dict()
+                report.dedup_ledger[:1], report.unexpected_duplicates[:3]
+                released = weakref.ref(report)
+                del report
+                assert released() is None, p
+        finally:
+            gc.enable()
+
     def test_lengths_build_no_rows(self, monkeypatch):
         def refuse(self, sel):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(_System, "entries", refuse)
+        monkeypatch.setattr(ConstructionReport, "_entries", refuse)
         monkeypatch.setattr(FamilyReport, "_witnesses", refuse)
         for p, unexpected in ((7, 0), (20011, 1095), (20023, 1222)):
             report = build_report(p)
