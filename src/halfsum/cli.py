@@ -66,6 +66,10 @@ from .primes import primes_in_range
 
 _RATIONAL_BOUND = 10**9
 
+# lemma checks each value in pure Python, about 3 us apiece on a 2-vCPU x86
+# host, so each of its two counts is capped at about half a minute of work.
+_LEMMA_LIMIT = 10**7
+
 
 class RangeRow(NamedTuple):
     """One prime's result inside a verification sweep."""
@@ -363,6 +367,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     results = _sweep(args.lo, args.hi, args.jobs, partial(_check_primes, fast_bound=args.fast))
+    if args.fast is not None and args.fast < 0:
+        raise DomainError(f"--fast must be >= 0, got {args.fast}")
     started = time.monotonic()
     with _output(args.out) as output:
         rows, violations, anomalies = [], [], []
@@ -427,6 +433,8 @@ def cmd_lemma(args) -> int:
     for flag, value in (("--check-up-to", args.check_up_to), ("--rationals", args.rationals)):
         if value is not None and value < 0:
             raise DomainError(f"{flag} must be >= 0, got {value}")
+        if value is not None and value > _LEMMA_LIMIT:
+            raise ResourceLimitError(f"{flag} {value} exceeds the lemma limit {_LEMMA_LIMIT}")
     failures = 0
     for x in range(0, args.check_up_to + 1):
         if floor_half_series(x) != x:
@@ -543,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rationals",
         type=int,
         metavar="M",
-        help="number of random rationals to draw (default N)",
+        help="number of random rationals to draw (default N, at most 10^7)",
     )
     p_lemma.add_argument("--seed", type=int, default=20250814)
     p_lemma.set_defaults(func=cmd_lemma)

@@ -14,11 +14,11 @@ evaluation, and audits three separate claims:
 
 A prime's audit is one record, ConstructionReport: its families run as one
 witness column in generation order, built from the case's rule table, with
-a uint8 column naming each row's family. When built, the report derives its
-first-claim dedup with one sort of that column and decides its verdict and
-reason from its arrays. It builds its families and failed pairs when they
-are first read, and witnesses and ledger entries are Rows, which build only
-the rows read.
+a uint8 column naming each row's family. When built, the report counts how
+often each element is claimed in that column and decides its verdict and
+reason from those counts alone. Which family claims an element first is
+found when its families are first read; they, its failed pairs, and its
+witnesses and ledger entries, which are Rows, are built only when read.
 
 Failures are never patched over; they become structured verdicts:
 
@@ -66,9 +66,9 @@ VERIFIED = "Verified"
 BOUND_VIOLATION = "BoundViolation"
 DEDUP_ANOMALY = "DedupAnomaly"
 
-# An audit makes about p/4 pairs and peaks near 48 bytes per pair (traced
-# at p = 1000003), so at this limit it stays near 100 MB; construct --json,
-# which also builds one family's witnesses at a time, near 195, ~0.4 GB.
+# An audit makes about p/4 pairs and peaks near 41 bytes per pair (traced
+# at p = 1000003), so at this limit it stays near 90 MB; construct --json,
+# which also builds one family's witnesses at a time, near 175, ~0.4 GB.
 # Elements and their doubles stay far below 2^31, so the columns are int32.
 _CONSTRUCT_LIMIT = 1 << 23
 _INT = np.int32
@@ -185,7 +185,7 @@ class ConstructionReport:
     Row i pairs candidates[i] with partners[i] under rules[family[i]]; its
     witness chosen[i] is 0 if no residue lies in [1, (p-1)/2]. The rows of
     family f are starts[f] up to starts[f + 1], and starts ends with the row
-    count. When built, the report derives its first-claim dedup and decides
+    count. When built, the report counts each element's claims and decides
     its verdict and, for a BoundViolation, the first claim that failed as
     reason. distinct_qr_total is the count of distinct witnesses unless
     given. Its families and failed pairs are built when first read.
@@ -212,48 +212,30 @@ class ConstructionReport:
         rules = self.rules
         if self.claimed_total != sum(rule.bound for rule in rules):
             raise ConsistencyError("family bounds do not aggregate to the claimed total")
-        # Every witness claims its element, in generation order. Sorting
-        # element << bits | row groups equal elements with their claims still
-        # in that order, so each group's head is the first claim, and first
-        # claim wins: a family is credited only with elements no earlier
-        # family produced. This sort of unique keys is much faster than a
-        # stable argsort. _rows holds the row numbers so sorted; element group
-        # g is the run of _counts[g] of them from _head[g], element 0 left out.
-        n = len(self.chosen)
-        bits = n.bit_length()
-        keys = self.chosen.astype(np.int64) << bits
-        keys |= np.arange(n, dtype=np.int64)
-        keys.sort()
-        ranked = keys >> bits
-        keys &= (1 << bits) - 1
-        self._rows = keys
-        # A group opens at the first row and wherever the witness changes; [:n]
-        # leaves a system without rows without groups.
-        head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1]))[:n])
-        counts = np.append(head[1:], n) - head
-        # Element 0 stands for the pairs without a residue; it claims nothing.
-        failed = int(n > 0 and ranked[0] == 0)
-        self._head, self._counts = head[failed:], counts[failed:]
-        # _ledger lists the groups of several claims. Case 1 discounts exactly
-        # one overlap among them, _sanctioned, or -1: the element 4, claimed
-        # first by the first family's pair (8, 4), then by the third family's
-        # element 4.
-        self._ledger = np.flatnonzero(self._counts > 1)
-        lo, hi = np.searchsorted(ranked, [4, 5]).tolist()
-        ids = [rules[f].family_id for f in self.family[keys[lo:hi]].tolist()]
-        self._sanctioned = int(np.searchsorted(self._head, lo)) if ids == ["C1_F1", "C1_F3"] else -1
+        # Every witness claims its element, and first claim wins: a family is
+        # credited only with elements no earlier family produced. The verdict
+        # needs only how often each element is claimed; element 0 stands for
+        # the pairs without a residue and claims nothing.
+        claims = np.bincount(self.chosen, minlength=1)
+        # _ledger lists the elements of several claims, ascending. Case 1
+        # discounts exactly one overlap among them, if _sanctioned: the element
+        # 4, claimed first by the first family's pair (8, 4), then by the third
+        # family's element 4.
+        self._ledger = np.flatnonzero(claims[1:] > 1).astype(_INT) + 1
+        fours = self.family[self.chosen == 4].tolist()
+        self._sanctioned = [rules[f].family_id for f in fours] == ["C1_F1", "C1_F3"]
         if self.distinct_qr_total is None:
-            self.distinct_qr_total = len(self._head)
+            self.distinct_qr_total = int(np.count_nonzero(claims[1:]))
 
         # One ladder decides the verdict and, for a violation, its reason.
         distinct, threshold = self.distinct_qr_total, self.required_threshold
         self.verdict, self.reason = BOUND_VIOLATION, ""
-        if failed:
-            i = int(keys[0])
+        if claims[0]:
+            i = int(self.chosen.argmin())  # the first row whose witness is 0
             pair = f"({self.candidates[i]}, {self.partners[i]})"
             self.reason = f"pair {pair} in {rules[self.family[i]].family_id}: "
             self.reason += f"no residue lands in [1, {(self.p - 1) // 2}]"
-        elif len(self._ledger) > (self._sanctioned >= 0):
+        elif len(self._ledger) > self._sanctioned:
             self.verdict = DEDUP_ANOMALY
         elif distinct < threshold:
             self.reason = f"distinct {distinct} < threshold {threshold}"
@@ -265,14 +247,19 @@ class ConstructionReport:
 
     @cached_property
     def _contributions(self) -> np.ndarray:
-        """Distinct elements per family: each group's first claim owns it."""
-        return np.bincount(self.family[self._rows[self._head]], minlength=len(self.rules))
+        """Distinct elements per family: an element's first claim, its least row, owns it."""
+        rows = np.arange(len(self.chosen), dtype=_INT)
+        first = np.full((self.p + 1) // 2, len(rows), _INT)
+        np.minimum.at(first, self.chosen, rows)
+        first[0] = -1  # element 0 claims nothing
+        owns = first.take(self.chosen) == rows
+        return np.array([np.count_nonzero(owns[a:b]) for a, b in zip(self.starts, self.starts[1:])])
 
     @cached_property
     def families(self) -> list[FamilyReport]:
         """A FamilyReport per rule, each a slice of the shared columns."""
-        columns = (self.candidates, self.partners, self.chosen)
-        slices = zip(*(np.split(c, self.starts[1:-1]) for c in columns))
+        bounds = zip(self.starts, self.starts[1:])
+        slices = ([c[a:b] for c in (self.candidates, self.partners, self.chosen)] for a, b in bounds)
         made = zip(self.rules, slices, self._contributions.tolist())
         return [FamilyReport(r.family_id, r.bound, *c, r.j, n) for r, c, n in made]
 
@@ -290,20 +277,24 @@ class ConstructionReport:
     @property
     def unexpected_duplicates(self) -> Rows:
         """The ledger's entries other than the sanctioned overlap."""
-        others = np.flatnonzero(self._ledger != self._sanctioned)
+        others = np.flatnonzero(self._ledger != 4) if self._sanctioned else None
         return Rows(len(self._ledger), self._entries, others)
 
     def _entries(self, sel) -> Iterator[DedupEntry]:
-        """DedupEntry objects, site labels included, for the ledger groups sel picks."""
-        groups = self._ledger[sel]
-        head, counts = self._head[groups], self._counts[groups]
-        offsets = np.cumsum(counts) - counts
-        rows = self._rows[np.repeat(head - offsets, counts) + np.arange(counts.sum())]
-        columns = (self.family[rows].tolist(), rows.tolist(), self.candidates[rows].tolist())
+        """DedupEntry objects, site labels included, for the ledger elements sel picks."""
+        picked = self._ledger[sel]
+        mark = np.zeros((self.p + 1) // 2, bool)
+        mark[picked] = True
+        rows = np.flatnonzero(mark.take(self.chosen))
+        # Each picked element's claims in row order, the elements in pick order.
+        order = np.argsort(picked)
+        place = order[np.searchsorted(picked, self.chosen.take(rows), sorter=order)]
+        rows = rows[np.argsort(place, kind="stable")]
+        counts = np.bincount(place, minlength=len(picked))
+        columns = (self.family.take(rows).tolist(), rows.tolist(), self.candidates.take(rows).tolist())
         labels = iter([_site(self.rules[f], i - self.starts[f], c) for f, i, c in zip(*columns)])
         sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
-        elements = self.chosen[self._rows[head]].tolist()
-        return _build(DedupEntry, elements, sites, (groups == self._sanctioned).tolist())
+        return _build(DedupEntry, picked.tolist(), sites, ((picked == 4) & self._sanctioned).tolist())
 
     def to_json_dict(self) -> dict:
         fams = []
@@ -535,5 +526,5 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
     run, claimed_total = (_case1_column, 2 * k + 1) if case == CASE_ONE else (_case2_column, 2 * k + 3)
     half = (pv - 1) // 2
     a_value = 2 * int(np.count_nonzero(is_qr[1 : half + 1])) - half
-    # The report is built once the case's temporaries are freed: its sort is the audit's peak.
+    # The report is built once the case's temporaries are freed: its claim count is the audit's peak.
     return ConstructionReport(pv, case, k, threshold, claimed_total, a_value, *run(pv, k, is_qr))

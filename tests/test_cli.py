@@ -490,6 +490,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--from", "3", "--to", "10", "--jobs", "0")
         assert code == 2
 
+    def test_negative_fast_leaves_out_file(self, capsys, tmp_path):
+        # --fast is checked with the range and --jobs, before --out is
+        # opened; an inverted range is still reported first.
+        target = tmp_path / "sweep.txt"
+        target.write_text("kept\n")
+        argv = ("verify", "--from", "3", "--to", "50", "--fast", "-5", "--out", str(target))
+        assert run(capsys, *argv) == (2, "", "error: --fast must be >= 0, got -5\n")
+        assert target.read_text() == "kept\n"
+        argv = ("verify", "--from", "50", "--to", "3", "--fast", "-5")
+        assert run(capsys, *argv) == (2, "", "error: --from 50 exceeds --to 3\n")
+        code, out, _ = run(capsys, "verify", "--from", "3", "--to", "50", "--fast", "0", "--format", "csv")
+        assert code == 0 and out.count("SieveOnly") == 8
+
     def test_negative_bound_leaves_out_file(self, capsys, tmp_path):
         # Both bounds are checked before --out is opened, not when the first
         # window of primes is read.
@@ -849,6 +862,25 @@ class TestLemma:
         )
         assert code == 2 and out == ""
         assert "--rationals" in err
+
+    def test_counts_past_the_cap_exit_2_before_any_check(self, capsys):
+        # Each value costs a few microseconds, so these would run for days.
+        limit = cli._LEMMA_LIMIT
+        for argv, flag in (
+            (("--check-up-to", str(10**20)), "--check-up-to"),
+            (("--check-up-to", "0", "--rationals", str(10**11)), "--rationals"),
+        ):
+            code, out, err = run(capsys, "lemma", *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag} {argv[-1]} exceeds the lemma limit {limit}\n"
+
+    def test_cap_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LEMMA_LIMIT", 40)
+        code, out, _ = run(capsys, "lemma", "--check-up-to", "40")
+        assert code == 0 and "0..40 and 40 random rationals" in out
+        for argv in (("--check-up-to", "41", "--rationals", "0"), ("--check-up-to", "0", "--rationals", "41")):
+            code, out, err = run(capsys, "lemma", *argv)
+            assert (code, out) == (2, "") and err.endswith("exceeds the lemma limit 40\n")
 
 
 class TestUsage:

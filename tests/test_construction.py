@@ -12,7 +12,9 @@ DedupAnomaly rather than Verified. The first outright pair failure
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -228,6 +230,14 @@ def _assert_matches_simulator(p):
     }
     sim_dups = {e: len(s) for e, s in sim["unsanctioned_dups"].items()}
     assert engine_dups == sim_dups, p
+    # First claim wins: each element is owned by the family of its first
+    # claim in generation order, keyed by (family_id, subfamily).
+    first = {}
+    for (family_id, where), element in sim["claims"]:
+        first.setdefault(element, (family_id, where[0] if family_id == "C1_F4" else None))
+    owned = {(f.family_id, f.subfamily): f.distinct_contribution for f in report.families}
+    assert {key: n for key, n in owned.items() if n} == Counter(first.values()), p
+    assert any(e.expected for e in report.dedup_ledger) == sim["sanctioned_overlap"], p
     return report
 
 
@@ -509,6 +519,23 @@ class TestRowViews:
                 assert released() is None, p
         finally:
             gc.enable()
+
+    def test_audit_memory_per_pair(self):
+        # At p = 1000003 (250002 pairs) the audit and verify's excerpt peak
+        # near 41 B per pair, the figure the _CONSTRUCT_LIMIT comment sizes
+        # the limit by, and the report keeps its four columns and its ledger,
+        # near 14 B per pair: no column as long as the half interval.
+        build_report(1000003)
+        tracemalloc.start()
+        try:
+            report = build_report(1000003)
+            report.unexpected_duplicates[:3]
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = len(report.chosen)
+        assert peak / pairs <= 48
+        assert kept / pairs <= 20
 
     def test_lengths_build_no_rows(self, monkeypatch):
         def refuse(self, sel):
