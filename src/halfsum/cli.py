@@ -402,6 +402,8 @@ def cmd_identity(args) -> int:
     results = _sweep(args.lo, args.hi, 1, _identity_records)
     if args.l_terms is not None and not 1 <= args.l_terms <= _L_TERMS_LIMIT:
         raise DomainError(f"--l-terms must be in [1, {_L_TERMS_LIMIT}], got {args.l_terms}")
+    if args.l_terms is not None and not args.l_check:
+        raise DomainError("--l-terms needs --l-check")
     failures = 0
     checked = 0
     for rec in results:

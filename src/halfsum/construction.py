@@ -13,12 +13,12 @@ evaluation, and audits three separate claims:
      already discount).
 
 A prime's audit is one record, ConstructionReport: its families run as one
-witness column in generation order, built from the case's rule table, with
-a uint8 column naming each row's family. When built, the report counts how
-often each element is claimed in that column and decides its verdict and
-reason from those counts alone. Which family claims an element first is
-found when its families are first read; they, its failed pairs, and its
-witnesses and ledger entries, which are Rows, are built only when read.
+witness column in generation order, built from the case's rule table, and
+family f owns rows starts[f] up to starts[f + 1]. When built, the report
+counts each element's claims in that column and decides its verdict and
+reason from those counts alone. The first claim of each element is found
+when its families are first read; they, its failed pairs, and its witnesses
+and ledger entries, which are Rows, are built only when read.
 
 Failures are never patched over; they become structured verdicts:
 
@@ -44,11 +44,12 @@ them at once and reports A(p) counted from the same flags.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -66,12 +67,13 @@ VERIFIED = "Verified"
 BOUND_VIOLATION = "BoundViolation"
 DEDUP_ANOMALY = "DedupAnomaly"
 
-# An audit makes about p/4 pairs and peaks near 41 bytes per pair (traced
+# An audit makes about p/4 pairs and peaks near 40 bytes per pair (traced
 # at p = 1000003), so at this limit it stays near 90 MB; construct --json,
 # which also builds one family's witnesses at a time, near 175, ~0.4 GB.
 # Elements and their doubles stay far below 2^31, so the columns are int32.
 _CONSTRUCT_LIMIT = 1 << 23
 _INT = np.int32
+_SLICE = 1 << 14  # rows built per call when a Rows view is iterated
 
 
 class PairWitness(NamedTuple):
@@ -99,7 +101,8 @@ class Rows(Sequence):
     """Read-only rows held as columns: rows(sel) builds, in order, the rows
     that a slice or index array sel picks, and index picks this view's rows
     (all by default). Length and truth value build no row; indexing and
-    slicing build only the rows they cover; nothing built is kept."""
+    slicing build only the rows they cover, iterating _SLICE rows at a time;
+    nothing built is kept."""
 
     def __init__(self, size: int, rows: Callable, index: Optional[np.ndarray] = None):
         self._size, self._rows, self._index = size, rows, index
@@ -108,7 +111,7 @@ class Rows(Sequence):
         return self._size if self._index is None else len(self._index)
 
     def __iter__(self) -> Iterator:
-        return iter(self._rows(slice(None) if self._index is None else self._index))
+        return chain.from_iterable(self[a : a + _SLICE] for a in range(0, len(self), _SLICE))
 
     def __getitem__(self, key):
         if not isinstance(key, slice):
@@ -182,13 +185,13 @@ class ConstructionReport:
     """Full audit of the construction run for one prime, from its executed
     family system: one row per pair in generation order.
 
-    Row i pairs candidates[i] with partners[i] under rules[family[i]]; its
-    witness chosen[i] is 0 if no residue lies in [1, (p-1)/2]. The rows of
-    family f are starts[f] up to starts[f + 1], and starts ends with the row
-    count. When built, the report counts each element's claims and decides
-    its verdict and, for a BoundViolation, the first claim that failed as
-    reason. distinct_qr_total is the count of distinct witnesses unless
-    given. Its families and failed pairs are built when first read.
+    Row i pairs candidates[i] with partners[i]; its witness chosen[i] is 0
+    if no residue lies in [1, (p-1)/2]. Family f, under rules[f], owns rows
+    starts[f] up to starts[f + 1], and starts ends with the row count. When
+    built, the report counts each element's claims and decides its verdict
+    and, for a BoundViolation, the first claim that failed as reason.
+    distinct_qr_total is the count of distinct witnesses unless given. Its
+    families and failed pairs are built when first read.
     """
 
     p: int
@@ -200,7 +203,6 @@ class ConstructionReport:
     a_value: int
     rules: list[_Rule] = field(repr=False)
     starts: list[int] = field(repr=False)
-    family: np.ndarray = field(repr=False)
     candidates: np.ndarray = field(repr=False)
     partners: np.ndarray = field(repr=False)
     chosen: np.ndarray = field(repr=False)
@@ -222,8 +224,8 @@ class ConstructionReport:
         # 4, claimed first by the first family's pair (8, 4), then by the third
         # family's element 4.
         self._ledger = np.flatnonzero(claims[1:] > 1).astype(_INT) + 1
-        fours = self.family[self.chosen == 4].tolist()
-        self._sanctioned = [rules[f].family_id for f in fours] == ["C1_F1", "C1_F3"]
+        owners = [bisect(self.starts, i) - 1 for i in np.flatnonzero(self.chosen == 4).tolist()]
+        self._sanctioned = [rules[f].family_id for f in owners] == ["C1_F1", "C1_F3"]
         if self.distinct_qr_total is None:
             self.distinct_qr_total = int(np.count_nonzero(claims[1:]))
 
@@ -233,7 +235,7 @@ class ConstructionReport:
         if claims[0]:
             i = int(self.chosen.argmin())  # the first row whose witness is 0
             pair = f"({self.candidates[i]}, {self.partners[i]})"
-            self.reason = f"pair {pair} in {rules[self.family[i]].family_id}: "
+            self.reason = f"pair {pair} in {rules[bisect(self.starts, i) - 1].family_id}: "
             self.reason += f"no residue lands in [1, {(self.p - 1) // 2}]"
         elif len(self._ledger) > self._sanctioned:
             self.verdict = DEDUP_ANOMALY
@@ -291,7 +293,8 @@ class ConstructionReport:
         place = order[np.searchsorted(picked, self.chosen.take(rows), sorter=order)]
         rows = rows[np.argsort(place, kind="stable")]
         counts = np.bincount(place, minlength=len(picked))
-        columns = (self.family.take(rows).tolist(), rows.tolist(), self.candidates.take(rows).tolist())
+        family = np.searchsorted(self.starts, rows, "right") - 1
+        columns = (family.tolist(), rows.tolist(), self.candidates.take(rows).tolist())
         labels = iter([_site(self.rules[f], i - self.starts[f], c) for f, i, c in zip(*columns)])
         sites = map(tuple, map(islice, repeat(labels), counts.tolist()))
         return _build(DedupEntry, picked.tolist(), sites, ((picked == 4) & self._sanctioned).tolist())
@@ -363,23 +366,14 @@ def case2_bounds(k: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def _column(rules: list[_Rule]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Every rule's elements in rule order as one column, each row's family,
-    and where each family's rows start, the row count last."""
+def _column(rules: list[_Rule]) -> tuple[np.ndarray, list[int]]:
+    """Every rule's elements in rule order as one column, and where each
+    family's rows start, the row count last."""
     runs = [np.arange(rule.start, rule.stop, rule.step, dtype=_INT) for rule in rules]
-    sizes = [len(run) for run in runs]
-    # Fewer than 2^8 families: Case 1 has bit_length(4k+1) + 4 < 32 of them.
-    family = np.repeat(np.arange(len(rules), dtype=np.uint8), sizes)
-    return np.concatenate(runs), family, list(accumulate(sizes, initial=0))
+    return np.concatenate(runs), list(accumulate(map(len, runs), initial=0))
 
 
-def _rows(rules: list[_Rule], starts: list[int], rule: _Rule) -> slice:
-    """The rows of rule in a column that _column built from rules."""
-    f = rules.index(rule)
-    return slice(starts[f], starts[f + 1])
-
-
-def _choose(rules, starts, family, cands, cand_qr, parts, is_qr) -> tuple[np.ndarray, bool]:
+def _choose(rules, starts, cands, cand_qr, parts, is_qr) -> tuple[np.ndarray, bool]:
     """The witness column: in each row, the member of the pair that is a residue.
 
     The first ratio pair without exactly one residue, then the first ratio
@@ -389,7 +383,7 @@ def _choose(rules, starts, family, cands, cand_qr, parts, is_qr) -> tuple[np.nda
     same = cand_qr == is_qr.take(parts)
     other = bool(same.any())
     for i in np.flatnonzero(same).tolist() if other else ():
-        rule = rules[family[i]]
+        rule = rules[bisect(starts, i) - 1]
         if rule.ratio:
             pair = f"({cands[i]}, {parts[i]})"
             raise ConsistencyError(f"{rule.tag} pair {pair}: not exactly one residue")
@@ -432,28 +426,27 @@ def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     f4_bound_sum = sum(rule.bound for rule in f4)
     if f4_bound_sum != b4 or f4_bound_sum != floor_half_series(Fraction(half, 6)):
         raise ConsistencyError("per-j bounds do not sum to floor((4k+1)/6)")
-    # C1_F3's bound is one below its element count: the element 4 (h = 0)
-    # always duplicates C1_F1's witness from the pair (8, 4).
-    f3 = _Rule("C1_F3", b3, 4, half + 1, 12, ratio=False)
-    specials = _Rule("C1_SPECIALS", b_specials, half, half - 5, -4, ratio=False)
     rules = [
         _Rule("C1_F1", b1, 2, half + 1, 6),
         _Rule("C1_F2", b2, 10, half + 1, 12),
-        f3,
+        # C1_F3's bound is one below its element count: the element 4 (h = 0)
+        # always duplicates C1_F1's witness from the pair (8, 4).
+        _Rule("C1_F3", b3, 4, half + 1, 12, ratio=False),
         *f4,
-        specials,
+        _Rule("C1_SPECIALS", b_specials, half, half - 5, -4, ratio=False),
     ]
-    cands, family, starts = _column(rules)
+    cands, starts = _column(rules)
     cand_qr = is_qr.take(cands)
     parts = cands >> 1
-    f3_rows, special_rows = _rows(rules, starts, f3), _rows(rules, starts, specials)
+    # C1_F3 is rules[2]; C1_SPECIALS, the last rule, owns the last two rows.
+    f3_rows, special_rows = slice(starts[2], starts[3]), slice(starts[-2], None)
     x, x_qr = cands[f3_rows], cand_qr[f3_rows]
     dbl = 2 * x
     neg = (pv - 4 * x) % pv
     fallback = np.where(dbl <= half, dbl, np.where(neg <= half, neg, 0))
     parts[f3_rows] = np.where(x_qr | (fallback == 0), dbl, fallback)
     parts[special_rows] = pv - cands[special_rows]
-    chosen, other = _choose(rules, starts, family, cands, cand_qr, parts, is_qr)
+    chosen, other = _choose(rules, starts, cands, cand_qr, parts, is_qr)
     # A C1_F3 row whose fallback is not a residue holds two non-residues.
     wrong = np.flatnonzero(~x_qr & (fallback != 0) & ~is_qr[fallback]) if other else ()
     if len(wrong):
@@ -464,7 +457,7 @@ def _case1_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     for special in (half, half - 4):
         if not is_qr[special]:
             raise ConsistencyError(f"special element {special} must be a residue mod {pv}")
-    return rules, starts, family, cands, parts, chosen
+    return rules, starts, cands, parts, chosen
 
 
 def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
@@ -478,19 +471,18 @@ def _case2_column(pv: int, k: int, is_qr: np.ndarray) -> tuple:
     half = 4 * k + 3
     b1, b2, b3, b4, b_two = case2_bounds(k)
     # Rule r pairs the odd a = r mod 8 in A with (p-a)/2.
-    two = _Rule("C2_TWO", b_two, 2, 3, 1, ratio=False)
     rules = [
         _Rule("C2_F3MOD8", b1, 3, half + 1, 8),
         _Rule("C2_F7MOD8", b2, 7, half + 1, 8),
         _Rule("C2_F1MOD8", b3, 1, half + 1, 8),
         _Rule("C2_F5MOD8", b4, 5, half + 1, 8),
-        two,
+        _Rule("C2_TWO", b_two, 2, 3, 1, ratio=False),
     ]
-    cands, family, starts = _column(rules)
+    cands, starts = _column(rules)
     parts = (pv - cands) >> 1
-    parts[_rows(rules, starts, two)] = pv - 2
-    chosen, _ = _choose(rules, starts, family, cands, is_qr.take(cands), parts, is_qr)
-    return rules, starts, family, cands, parts, chosen
+    parts[starts[-2] :] = pv - 2  # C2_TWO, the last rule, owns the last row
+    chosen, _ = _choose(rules, starts, cands, is_qr.take(cands), parts, is_qr)
+    return rules, starts, cands, parts, chosen
 
 
 def build_report(p: int | OddPrime) -> ConstructionReport:
@@ -510,7 +502,7 @@ def build_report(p: int | OddPrime) -> ConstructionReport:
         # misses the threshold exactly when A(p) <= 0, and the ladder says so.
         rec = half_sum_direct(op)
         none = np.zeros(0, _INT)
-        columns = [], [0], none, none, none, none
+        columns = [], [0], none, none, none
         return ConstructionReport(pv, case, k, threshold, 0, rec.a_value, *columns, rec.qr_count)
     if pv > _CONSTRUCT_LIMIT:
         raise ResourceLimitError(f"p = {pv} exceeds the construction limit {_CONSTRUCT_LIMIT}")

@@ -20,8 +20,11 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from halfsum import charsum, cli, construction, primes
@@ -655,6 +658,16 @@ class TestIdentity:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "class-number limit" in err
 
+    def test_l_terms_without_l_check(self, capsys):
+        # --l-terms only sizes the --l-check series: alone it is refused, not ignored.
+        argv = ("identity", "--from", "7", "--to", "7", "--l-terms", "5")
+        assert run(capsys, *argv) == (2, "", "error: --l-terms needs --l-check\n")
+        # The range is checked first, then the --l-terms range, then this.
+        code, out, err = run(capsys, "identity", "--from", "10", "--to", "5", "--l-terms", "5")
+        assert (code, out, err) == (2, "", "error: --from 10 exceeds --to 5\n")
+        code, out, err = run(capsys, "identity", "--from", "7", "--to", "7", "--l-terms", "0")
+        assert (code, out) == (2, "") and err.startswith("error: --l-terms must be in [1, ")
+
     def test_l_check_past_table_limit(self, capsys, monkeypatch):
         # The L-series signs come from a p-byte table: a prime past the table
         # limit stops the command before that table is allocated.
@@ -898,6 +911,84 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# Edge values, and values past each cap: the construction limit, the 2^31
+# sieve and class-number limits, the 64-bit modulus cap, the 2^48 prime-sieve
+# limit, the 2^35 L-series cap and the 10^7 lemma cap.
+EDGES = (-7, 0, 1, 2, 3, 4, 9, 13, 31, 43, 47, 107)
+PAST = (8388619, 2147483659, 2**64 + 13, 10**30, 2**35 + 1, 10**7 + 1)
+# Below the 2^31 limits and the lemma cap, 8388619 is valid and slow: the
+# direct symbol loop and a lemma count take seconds on it.
+SLOW = 8388619
+
+
+@st.composite
+def argvs(draw, outs):
+    """An argv for one of the seven subcommands, valid or not, that runs fast
+    or is refused: tiny and inverted ranges, single values past a cap, and
+    counts, --jobs, --fast and --out values at and past their edges."""
+
+    def one(*values):
+        return draw(st.sampled_from(values))
+
+    def switch(flag):
+        return [flag] if draw(st.booleans()) else []
+
+    def option(flag, *values):
+        return [flag, str(one(*values))] if draw(st.booleans()) else []
+
+    command = one("symbol", "asum", "construct", "verify", "classnum", "identity", "lemma")
+    values, quick = EDGES + PAST, [v for v in EDGES + PAST if v != SLOW]
+    if command == "symbol":
+        return [command, str(one(*values)), str(one(*values))]
+    if command == "lemma":
+        return [command, "--check-up-to", str(one(*quick)), *option("--rationals", *quick)]
+    if command in ("asum", "classnum", "construct"):
+        argv = {
+            "asum": ["--method", one("direct", "sieve"), *switch("--json")],
+            "classnum": ["--method", one("forms", "charsum", "both")],
+            "construct": [*switch("--json"), *option("--out", *outs)],
+        }[command]
+        p = one(*(quick if "direct" in argv else values))
+        return [command, str(p), *argv]
+    lo, hi = draw(
+        st.one_of(
+            st.tuples(st.sampled_from(EDGES), st.sampled_from(EDGES)),
+            st.sampled_from(PAST).map(lambda v: (v, v)),
+            st.tuples(st.sampled_from(PAST), st.sampled_from(EDGES)),
+            st.tuples(st.sampled_from(EDGES), st.sampled_from((2**64 + 13, 10**30))),
+        )
+    )
+    argv = [command, "--from", str(lo), "--to", str(hi)]
+    if command == "verify":
+        argv += option("--jobs", -1, 0, 1, 2, 10**9) + option("--fast", -1, 0, 10)
+        argv += ["--format", one("text", "json", "csv"), *switch("--strict")]
+        return argv + option("--out", *outs)
+    l_terms = option("--l-terms", *EDGES, 2**35 + 1, 2**64 + 13, 10**30)
+    # --l-check sums 100p terms by default: at SLOW, tens of seconds.
+    return argv + l_terms + (switch("--l-check") if l_terms or hi != SLOW else [])
+
+
+class TestExitCodes:
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        deadline=timedelta(seconds=3),
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_argv_exits_0_1_or_2(self, capsys, fake_pool, tmp_path, data):
+        # Every outcome maps to its exit code, and every input past a cap is
+        # refused rather than run: one that runs for long fails the deadline.
+        (tmp_path / "out.txt").touch()
+        outs = ("/dev/full", str(tmp_path), str(tmp_path / "out.txt"))
+        argv = data.draw(argvs(outs))
+        code, _, err = outcome(capsys, argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert "Traceback" not in err, argv
+            assert len([line for line in err.splitlines() if "error:" in line]) == 1, argv
 
 
 class TestNoCycles:

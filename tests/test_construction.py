@@ -378,9 +378,8 @@ class TestVerdictLadder:
     def _report(self, f1_bound, threshold):
         rule = construction._Rule
         rules = [rule("C2_F3MOD8", f1_bound, 3, 12, 8), rule("C2_TWO", 1, 2, 3, 1, ratio=False)]
-        family = np.array([0, 0, 1], dtype=np.uint8)
         chosen = np.array([3, 11, 2], dtype=np.int32)
-        columns = rules, [0, 2, 3], family, chosen, chosen // 2, chosen
+        columns = rules, [0, 2, 3], chosen, chosen // 2, chosen
         report = ConstructionReport(47, CASE_TWO, 5, threshold, f1_bound + 1, 5, *columns)
         assert not report.failed_pairs and not report.dedup_ledger and report.distinct_qr_total == 3
         return report
@@ -522,9 +521,10 @@ class TestRowViews:
 
     def test_audit_memory_per_pair(self):
         # At p = 1000003 (250002 pairs) the audit and verify's excerpt peak
-        # near 41 B per pair, the figure the _CONSTRUCT_LIMIT comment sizes
-        # the limit by, and the report keeps its four columns and its ledger,
-        # near 14 B per pair: no column as long as the half interval.
+        # near 40 B per pair, the figure the _CONSTRUCT_LIMIT comment sizes
+        # the limit by, and the report keeps its three columns and its
+        # ledger, near 13 B per pair: no column as long as the half interval,
+        # and no per-row column beyond those three.
         build_report(1000003)
         tracemalloc.start()
         try:
@@ -535,7 +535,23 @@ class TestRowViews:
             tracemalloc.stop()
         pairs = len(report.chosen)
         assert peak / pairs <= 48
-        assert kept / pairs <= 20
+        assert kept / pairs <= 13.5
+
+    def test_iterating_the_ledger_builds_one_slice_at_a_time(self, monkeypatch):
+        # The text of construct iterates the whole ledger; no call may build
+        # every entry's site labels at once.
+        report = build_report(1000003)
+        entries, asked = ConstructionReport._entries, []
+
+        def spy(self, sel):
+            asked.append(len(self._ledger[sel]))
+            return entries(self, sel)
+
+        monkeypatch.setattr(ConstructionReport, "_entries", spy)
+        ledger = list(report.dedup_ledger)
+        assert len(asked) > 1 and max(asked) <= construction._SLICE
+        assert sum(asked) == len(ledger) == len(report.dedup_ledger)
+        assert [e.element for e in ledger] == report._ledger.tolist()
 
     def test_lengths_build_no_rows(self, monkeypatch):
         def refuse(self, sel):
