@@ -1,6 +1,7 @@
 """Tests for half-interval and full-interval character sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ class TestRecordInvariants:
             full_sum(21)
 
 
+# Series lengths for the L(1, chi) partial sum, by name, as functions of p.
+_L_LENGTHS = {
+    "N=1": lambda p: 1,
+    "N=p-1": lambda p: p - 1,
+    "N=p": lambda p: p,
+    "N=7p+3": lambda p: 7 * p + 3,
+    "N=100p": lambda p: 100 * p,
+    "N=100p+p//3": lambda p: 100 * p + p // 3,
+}
+
+
+def _l_series_brute(p, terms):
+    """sum of (n/p)/n for n = 1 .. terms, term by term, with symbols from qr_set."""
+    qrs = oracles.qr_set(p)
+    return math.fsum((1 if n % p in qrs else -1) / n for n in range(1, terms + 1) if n % p)
+
+
 class TestQrHelpers:
     def test_qr_table_matches_brute(self, small_odd_primes):
         for p in small_odd_primes[:30]:
@@ -151,10 +169,38 @@ class TestQrHelpers:
             brute = math.fsum(oracles.symbol_brute(n, p) / n for n in range(1, terms + 1))
             assert l_series_partial(p, terms) == pytest.approx(brute, abs=1e-12)
 
-    def test_l_series_partial_spans_blocks(self, monkeypatch):
-        whole = l_series_partial(23, 500)
-        monkeypatch.setattr(charsum, "_BLOCK", 7)
-        assert l_series_partial(23, 500) == pytest.approx(whole, abs=1e-12)
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23, 101, 1019], ids="p={}".format)
+    @pytest.mark.parametrize("length", _L_LENGTHS)
+    def test_l_series_partial_matches_direct_sum(self, p, length):
+        # 101 is 1 mod 4: the sum is defined for every odd prime.
+        terms = _L_LENGTHS[length](p)
+        assert l_series_partial(p, terms) == pytest.approx(_l_series_brute(p, terms), abs=1e-12)
+
+    def test_l_series_partial_spans_blocks(self):
+        # terms = p + s with s = 40000 past the first _BLOCK residues, so the
+        # residues with one more term than the rest end in a later block.
+        p = 100003
+        assert p + charsum._BLOCK < p + 40000 < 2 * p
+        terms = p + 40000
+        assert l_series_partial(p, terms) == pytest.approx(_l_series_brute(p, terms), abs=1e-12)
+
+    def test_l_series_partial_at_the_cap(self):
+        # The tail past 2^35 terms is ~1e-11, far inside 1e-9.
+        limit = charsum._L_TERMS_LIMIT
+        assert l_series_partial(7, limit) == pytest.approx(math.pi / math.sqrt(7), abs=1e-9)
+
+    def test_l_series_partial_memory(self):
+        # The residue table (p bytes) and a few float64 columns of _BLOCK
+        # residues each: no column as long as p.
+        p = 1000003
+        l_series_partial(p, 100 * p)
+        tracemalloc.start()
+        try:
+            l_series_partial(p, 100 * p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= p + (4 << 20)
 
 
 class TestLimits:
@@ -171,8 +217,8 @@ class TestLimits:
                 fn(101)
 
     def test_l_series_limit_refuses_before_any_table(self, monkeypatch):
-        # identity --l-check's default of 100p terms stays under the cap, which
-        # stays where n = r + k*p is exact in float64.
+        # The cap bounds the input, not the time: identity --l-check's default
+        # of 100p terms stays under it, and every K_r stays exact in float64.
         assert 100 * charsum._TABLE_LIMIT <= charsum._L_TERMS_LIMIT < 2**53
         monkeypatch.setattr(charsum, "_qr_marks", None)
         with pytest.raises(ResourceLimitError):
