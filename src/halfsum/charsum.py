@@ -4,7 +4,7 @@ A(p) = sum of (a/p) for a = 1 .. (p-1)/2 is evaluated two independent ways:
 a direct symbol-by-symbol sum, and an O(p) squares count that exploits the
 fact that x^2 mod p for x = 1 .. (p-1)/2 hits every quadratic residue
 exactly once. The squares also give the residue table, the residue sum
-behind the class number, and the signs of the L(1, chi) partial sum.
+behind the class number, and the residues of the L(1, chi) partial sum.
 
 Every squares pass runs one float64 kernel, _quotients, on blocks
 x = x0 + i, 0 <= i < 2^15, where x^2 = v = c0 + (c1 + i)*i (mod p) with
@@ -17,10 +17,9 @@ a relative 2^-53 at most, so 0 <= p*u - v < 12.1 * 2^-53 * v < 1/8,
 with equality only at v = 0. Hence floor(u) = floor(v/p), and A(p)
 counts frac(u) < 1/2, for odd p exactly x^2 mod p <= (p-1)/2; the
 residue sum is the closed-form sum of v less p times the sum of floor(u);
-the residue marks truncate p*frac(u), which rounding cannot take below
-x^2 mod p. Each command makes one pass per prime: the half-interval count
-and the residue sum share the blocks of one pass, and the residue marks,
-once built, also give the count.
+the residue marks and the L series truncate p*frac(u), which rounding
+cannot take below x^2 mod p. The half-interval count and the residue sum
+share one pass, and the residue marks, once built, also give the count.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ def _aligned_empty(n: int) -> np.ndarray:
 
     malloc only promises 16 bytes, and the kernel's vector loops run ~20%
     slower on buffers that are not 32-byte aligned, so without this the
-    speed of a whole process would hang on where its heap happened to put
-    them.
+    speed of a whole process would hang on where its heap put them.
     """
     buf = np.empty(n + 8)
     skip = -buf.ctypes.data % 64 // 8
@@ -57,11 +55,11 @@ _I[:] = np.arange(_BLOCK)
 # c0 and c1 are below p, so the kernel's error bound holds for p < 2^31.
 _SIEVE_LIMIT = 1 << 31
 
-# Full tables allocate p bytes; _qr_marks caps p to bound single-prime calls.
+# The residue table allocates p bytes; _qr_marks caps p to bound single-prime calls.
 _TABLE_LIMIT = 1 << 28
 
 # Longest L(1, chi) partial sum, an input bound as the sum is O(p) at any length: above
-# --l-check's 100p default at the table limit, below 2^53, so each K_r is exact in float64.
+# --l-check's 100p default for p <= 343597383, below 2^53, so each K_r is exact in float64.
 _L_TERMS_LIMIT = 1 << 35
 
 
@@ -164,8 +162,7 @@ def full_sum(p: int | OddPrime) -> int:
     The result must be 0 for every odd prime; it is computed, not assumed.
     """
     pv = as_prime(p).value
-    marks = _qr_marks(pv)
-    m = int(np.count_nonzero(marks))
+    m = int(np.count_nonzero(_qr_marks(pv)))
     return m - (pv - 1 - m)
 
 
@@ -212,19 +209,19 @@ def _digamma(y: np.ndarray) -> np.ndarray:
 
 def l_series_partial(p: int | OddPrime, terms: int) -> float:
     """Partial sum of L(1, chi) = sum of (n/p)/n for n = 1 .. terms, in O(p) at any length.
-    With terms = q*p + s, residue r has K_r = q + (r <= s) terms r + k*p, which sum to
-    (psi(r/p + K_r) - psi(r/p))/p (DLMF 5.5.2). psi's series is cut below 4.5e-17 (DLMF
-    5.11.2), so rounding, ~1e-14 in all, is the error. Residues go _BLOCK at a time;
-    raises ResourceLimitError past _L_TERMS_LIMIT terms."""
+    With terms = q*p + s, class r mod p has K_r = q + (r <= s) terms, which sum to
+    (psi(r/p + K_r) - psi(r/p))/p (DLMF 5.5.2): twice over the residues, which one squares
+    pass meets once each, less H(terms) - H(q)/p over all classes, H(n) = psi(n + 1) - psi(1).
+    Rounding, ~1e-14 in all, is the error: psi's series is cut below 4.5e-17 (DLMF 5.11.2)."""
     pv = as_prime(p).value
     if terms > _L_TERMS_LIMIT:
         raise ResourceLimitError(f"{terms} terms exceed the L-series limit {_L_TERMS_LIMIT}")
-    marks = _qr_marks(pv)
     q, s = divmod(max(terms, 0), pv)  # terms <= 0 is the empty sum
-    total = 0.0
-    for lo in range(1, pv, _BLOCK):
-        r = np.arange(lo, min(lo + _BLOCK, pv), dtype=np.float64)
-        diff = _digamma(r / pv + (q + (r <= s))) - _digamma(r / pv)
-        signs = marks[lo : lo + len(r)] * 2.0 - 1.0
-        total += float(np.sum(signs * diff))  # signs @ diff would start BLAS threads
-    return total / pv
+    residues = 0.0
+    for _, _, u, w in _quotients(pv):
+        np.subtract(u, np.floor(u, out=w), out=w)
+        r = np.trunc(np.multiply(w, pv, out=w), out=w)  # x^2 mod p, as _qr_marks reads it
+        y = np.divide(r, pv, out=u)
+        residues += float(np.sum(_digamma(y + (q + (r <= s))) - _digamma(y)))
+    h_n, h_q, psi_1 = _digamma(np.array([q * pv + s + 1.0, q + 1.0, 1.0]))
+    return 2 * residues / pv - (h_n - psi_1) + (h_q - psi_1) / pv

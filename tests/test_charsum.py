@@ -177,10 +177,10 @@ class TestQrHelpers:
         assert l_series_partial(p, terms) == pytest.approx(_l_series_brute(p, terms), abs=1e-12)
 
     def test_l_series_partial_spans_blocks(self):
-        # terms = p + s with s = 40000 past the first _BLOCK residues, so the
-        # residues with one more term than the rest end in a later block.
+        # The (p-1)/2 = 50001 squares of p = 100003 span two kernel blocks, and
+        # terms = p + 40000 gives one more term to residues in both of them.
         p = 100003
-        assert p + charsum._BLOCK < p + 40000 < 2 * p
+        assert charsum._BLOCK < (p - 1) // 2 < 2 * charsum._BLOCK
         terms = p + 40000
         assert l_series_partial(p, terms) == pytest.approx(_l_series_brute(p, terms), abs=1e-12)
 
@@ -190,9 +190,9 @@ class TestQrHelpers:
         assert l_series_partial(7, limit) == pytest.approx(math.pi / math.sqrt(7), abs=1e-9)
 
     def test_l_series_partial_memory(self):
-        # The residue table (p bytes) and a few float64 columns of _BLOCK
-        # residues each: no column as long as p.
-        p = 1000003
+        # A few float64 columns of _BLOCK squares each: no table or column as
+        # long as p, which at 8 MB would pass the bound by itself.
+        p = 8388619
         l_series_partial(p, 100 * p)
         tracemalloc.start()
         try:
@@ -200,7 +200,7 @@ class TestQrHelpers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= p + (4 << 20)
+        assert peak <= 4 << 20
 
 
 class TestLimits:
@@ -212,15 +212,18 @@ class TestLimits:
     def test_table_limit_guards_every_table(self, monkeypatch):
         monkeypatch.setattr(charsum, "_TABLE_LIMIT", 100)
         assert len(qr_table(97)) == 97
-        for fn in (qr_table, full_sum, lambda p: l_series_partial(p, 1000)):
+        for fn in (qr_table, full_sum):
             with pytest.raises(ResourceLimitError):
                 fn(101)
+        # The L series reads the squares pass, not a table.
+        assert l_series_partial(101, 1000) == pytest.approx(_l_series_brute(101, 1000), abs=1e-12)
 
     def test_l_series_limit_refuses_before_any_table(self, monkeypatch):
         # The cap bounds the input, not the time: identity --l-check's default
-        # of 100p terms stays under it, and every K_r stays exact in float64.
-        assert 100 * charsum._TABLE_LIMIT <= charsum._L_TERMS_LIMIT < 2**53
-        monkeypatch.setattr(charsum, "_qr_marks", None)
+        # of 100p terms stays under it for p <= 343597383, and every K_r stays
+        # exact in float64.
+        assert 100 * 343597383 <= charsum._L_TERMS_LIMIT < 2**53
+        monkeypatch.setattr(charsum, "_quotients", None)
         with pytest.raises(ResourceLimitError):
             l_series_partial(7, charsum._L_TERMS_LIMIT + 1)
 

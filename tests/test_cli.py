@@ -670,17 +670,17 @@ class TestIdentity:
         assert (code, out) == (2, "") and err.startswith("error: --l-terms must be in [1, ")
 
     def test_l_check_past_table_limit(self, capsys, monkeypatch):
-        # The L-series signs come from a p-byte table: a prime past the table
-        # limit stops the command before that table is allocated.
-        monkeypatch.setattr(charsum, "_TABLE_LIMIT", 40)
+        # The default 100p terms pass the L-series cap first at p = 43 here,
+        # which stops the command before that prime's series is summed.
+        monkeypatch.setattr(charsum, "_L_TERMS_LIMIT", 4000)
         code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "table limit" in err
+        assert err.startswith("error: 4300 terms") and "L-series limit" in err
 
 
     def test_failure_printed_before_l_check_limit(self, capsys, monkeypatch):
         # A prime's identity failure is printed before its --l-check stops
-        # the command at the table limit, though the whole batch is checked
+        # the command at the L-series cap, though the whole batch is checked
         # before either.
         real = cli._identity_records
 
@@ -688,10 +688,10 @@ class TestIdentity:
             return [dataclasses.replace(r, h_forms=0) if r.p == 43 else r for r in real(ps)]
 
         monkeypatch.setattr(cli, "_identity_records", failing_at_43)
-        monkeypatch.setattr(charsum, "_TABLE_LIMIT", 40)
+        monkeypatch.setattr(charsum, "_L_TERMS_LIMIT", 4000)
         code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
         assert code == 2 and out == "p=43: h_forms=0 h_charsum=1 A=3 rhs=3\n"
-        assert err.startswith("error:") and "table limit" in err
+        assert err.startswith("error: 4300 terms") and "L-series limit" in err
 
 
 class TestSweep:
@@ -823,10 +823,10 @@ class TestSweep:
 
 
 class TestOnePassPerPrime:
-    # A(p), the residue table, the residue sum and the L-series signs all
-    # come from squaring the half interval; each command squares it once
-    # per prime, and --l-check adds only the pass for its sign table. The
-    # audit of a prime p <= 31 sums its symbols directly and squares nothing.
+    # A(p), the residue table, the residue sum and the L series all come
+    # from squaring the half interval; each command squares it once per
+    # prime, and --l-check adds only the pass for its series. The audit of
+    # a prime p <= 31 sums its symbols directly and squares nothing.
 
     @pytest.mark.parametrize(
         "argv, passes, small_passes",
@@ -845,6 +845,15 @@ class TestOnePassPerPrime:
         small = [p for p in primes if p <= 31]
         large = [p for p in primes if p > 31]
         assert Counter(squares_passes) == Counter(small_passes * small + passes * large)
+
+    @pytest.mark.parametrize("l_check", [(), ("--l-check",)], ids=["plain", "l-check"])
+    def test_identity_builds_no_residue_table(self, capsys, monkeypatch, l_check):
+        # Neither the identity nor its L series needs the p-byte table.
+        tables = []
+        real = charsum._qr_marks
+        monkeypatch.setattr(charsum, "_qr_marks", lambda pv: tables.append(pv) or real(pv))
+        code, _, _ = run(capsys, "identity", "--from", "5", "--to", "3000", *l_check)
+        assert code == 0 and tables == []
 
 
 class TestLemma:
@@ -1026,6 +1035,36 @@ class TestNoCycles:
                 assert code in (0, 1) and gc.collect() == 0, command
         finally:
             gc.enable()
+
+
+class TestBlasThreads:
+    # Read in a fresh interpreter, where halfsum is the first to import numpy.
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+    def test_one_openblas_thread_unless_set(self, preset, expected):
+        script = """
+import os
+import halfsum.charsum
+threads = open("/proc/self/status").read().split("Threads:")[1].split()[0]
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+            env={**env, "PYTHONPATH": str(src)},
+        )
+        value, threads = done.stdout.split()
+        assert value == expected
+        if preset is None:
+            assert threads == "1"
 
 
 class TestOneParser:
