@@ -8,7 +8,4 @@ checks an exact floor-series identity, and cross-checks class numbers
 h(-p) computed two ways.
 """
 
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no BLAS call: its thread pool only burns CPU
 __version__ = "0.1.0"

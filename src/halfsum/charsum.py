@@ -19,7 +19,8 @@ counts frac(u) < 1/2, for odd p exactly x^2 mod p <= (p-1)/2; the
 residue sum is the closed-form sum of v less p times the sum of floor(u);
 the residue marks and the L series truncate p*frac(u), which rounding
 cannot take below x^2 mod p. The half-interval count and the residue sum
-share one pass, and the residue marks, once built, also give the count.
+share the blocks of one pass, and the residue marks, once built, also
+give the count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ def _aligned_empty(n: int) -> np.ndarray:
 
     malloc only promises 16 bytes, and the kernel's vector loops run ~20%
     slower on buffers that are not 32-byte aligned, so without this the
-    speed of a whole process would hang on where its heap put them.
+    speed of a whole process would hang on where its heap happened to put
+    them.
     """
     buf = np.empty(n + 8)
     skip = -buf.ctypes.data % 64 // 8
@@ -162,7 +164,8 @@ def full_sum(p: int | OddPrime) -> int:
     The result must be 0 for every odd prime; it is computed, not assumed.
     """
     pv = as_prime(p).value
-    m = int(np.count_nonzero(_qr_marks(pv)))
+    marks = _qr_marks(pv)
+    m = int(np.count_nonzero(marks))
     return m - (pv - 1 - m)
 
 

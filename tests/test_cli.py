@@ -1037,36 +1037,6 @@ class TestNoCycles:
             gc.enable()
 
 
-class TestBlasThreads:
-    # Read in a fresh interpreter, where halfsum is the first to import numpy.
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
-    def test_one_openblas_thread_unless_set(self, preset, expected):
-        script = """
-import os
-import halfsum.charsum
-threads = open("/proc/self/status").read().split("Threads:")[1].split()[0]
-print(os.environ["OPENBLAS_NUM_THREADS"], threads)
-"""
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-            env={**env, "PYTHONPATH": str(src)},
-        )
-        value, threads = done.stdout.split()
-        assert value == expected
-        if preset is None:
-            assert threads == "1"
-
-
 class TestOneParser:
     # main() builds its parser once per process and reuses it on every call.
 
