@@ -13,8 +13,9 @@ rounding error of (q/d)*2^-53 whenever q < 2^53. q stays below 2^31
 under the class-number limit, so the test is exact.
 Method two evaluates the finite character sum h = -(1/p) * sum a*(a/p)
 with exact integer arithmetic. The identity A(p) = (2 - (2/p)) * h(-p)
-ties both to the half-interval sum, and a truncated Dirichlet series
-estimate of L(1, chi) cross-checks the analytic wiring.
+ties both to the half-interval sum, and a prime's identity record, which
+holds h and A(p), sets a truncated Dirichlet series for L(1, chi)
+against pi*h/sqrt(p).
 
 Both methods accept p below 2^31, the limit of the squares kernel behind
 method two; the forms method would take hours far beyond it.
@@ -27,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .arith import OddPrime, as_prime, legendre_euler
-from .charsum import _SIEVE_LIMIT, half_sum_sieve, l_series_partial, qr_value_sum
+from .charsum import _I, _SIEVE_LIMIT, half_sum_sieve, l_series_partial, qr_value_sum
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 
 # Trial divisors per block of the forms enumeration, and rows (p, b) per
@@ -42,10 +43,6 @@ from .errors import ConsistencyError, DomainError, ResourceLimitError
 # row with more divisors than this gets a block of its own, and a single
 # prime with more rows (up to ~13.4k below the limit) a group of its own.
 _BLOCK = 1 << 13
-
-# Offsets within a block. Below the limit a block holds at most
-# max(_BLOCK, isqrt((1 + p)/4)) < 2^15 divisors: b = 1 has the most.
-_IOTA = np.arange(1 << 15, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,24 @@ class ClassNumberRecord:
     @property
     def ok(self) -> bool:
         return self.methods_agree and self.identity_holds
+
+    def l_estimate(self, terms: int) -> LFunctionRecord:
+        """The L(1, chi) series to terms against l_exact = pi*h/sqrt(p), h from the character sum.
+
+        identity_residual is |A(p) - (sqrt(p)/pi)*(2 - (2/p))*l_exact|, the float form of
+        the identity that ok already decides exactly; it is reported, never raised.
+        """
+        pv = self.p
+        l_exact = math.pi * self.h_charsum / math.sqrt(pv)
+        wired = math.sqrt(pv) / math.pi * (2 - legendre_euler(2, self.prime)) * l_exact
+        return LFunctionRecord(
+            p=pv,
+            terms=terms,
+            l_exact=l_exact,
+            l_partial=l_series_partial(self.prime, terms),
+            tolerance=5.0 / math.sqrt(terms),
+            identity_residual=abs(self.identity_lhs - wired),
+        )
 
 
 @dataclass(frozen=True)
@@ -180,7 +195,9 @@ def _factorisations(pvs: list[int]) -> Iterator[tuple[np.ndarray, ...]]:
             nb = n[i:j]
             starts = ends[i:j] - nb - done
             d = np.repeat((b[i:j] - starts).astype(np.float64), nb)
-            d += _IOTA[: len(d)]
+            # Offsets within a block, from charsum's 2^15. Below the limit a block
+            # holds at most max(_BLOCK, isqrt((1 + p)/4)) < 2^15 divisors: b = 1 has the most.
+            d += _I[: len(d)]
             t = np.repeat(qf[i:j], nb)
             t /= d
             hit = np.flatnonzero(t == np.floor(t))
@@ -268,43 +285,18 @@ def identity_check(p: int | OddPrime) -> ClassNumberRecord:
     return identity_checks([p])[0]
 
 
-def l_value_estimate(
-    p: int | OddPrime,
-    terms: int,
-    *,
-    h: Optional[int] = None,
-    a_value: Optional[int] = None,
-) -> LFunctionRecord:
-    """Estimate L(1, chi) by a truncated series against pi*h/sqrt(p).
+def l_value_estimate(p: int | OddPrime, terms: int) -> LFunctionRecord:
+    """The L(1, chi) estimate of p's identity record (ClassNumberRecord.l_estimate).
 
-    Also verifies the exact wiring A(p) = (sqrt(p)/pi)*(2-(2/p))*l_exact
-    to within 1e-9; a larger residual means a plumbing bug, and raises.
-    h (the character-sum class number) and a_value (A(p)) are computed
-    here unless a caller that already has them, such as an identity_checks
-    record, passes them on.
+    Raises DomainError for terms < p, before any work, and ConsistencyError
+    for an identity residual of 1e-9 or more, which means a plumbing bug.
     """
     op = _require_3mod4(p)
-    pv = op.value
-    if terms < pv:
-        raise DomainError(f"terms must be >= p = {pv}, got {terms}")
-    if h is None:
-        h = class_number_character_sum(op)
-    if a_value is None:
-        a_value = half_sum_sieve(op).a_value
-    l_exact = math.pi * h / math.sqrt(pv)
-    l_partial = l_series_partial(op, terms)
-
-    wired = math.sqrt(pv) / math.pi * (2 - legendre_euler(2, op)) * l_exact
-    residual = abs(a_value - wired)
-    if residual >= 1e-9:
+    if terms < op.value:
+        raise DomainError(f"terms must be >= p = {op.value}, got {terms}")
+    lrec = identity_check(op).l_estimate(terms)
+    if lrec.identity_residual >= 1e-9:
         raise ConsistencyError(
-            f"identity wiring off by {residual} at p = {pv}; expected < 1e-9"
+            f"identity wiring off by {lrec.identity_residual} at p = {op.value}; expected < 1e-9"
         )
-    return LFunctionRecord(
-        p=pv,
-        terms=terms,
-        l_exact=l_exact,
-        l_partial=l_partial,
-        tolerance=5.0 / math.sqrt(terms),
-        identity_residual=residual,
-    )
+    return lrec

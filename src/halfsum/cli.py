@@ -44,12 +44,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 from . import __version__, primes
 from .arith import OddPrime, legendre_euler, legendre_reciprocity
 from .charsum import _L_TERMS_LIMIT, half_sum_direct, half_sum_sieve
-from .classnum import (
-    class_number_character_sum,
-    identity_checks,
-    l_value_estimate,
-    reduced_forms_count,
-)
+from .classnum import class_number_character_sum, identity_checks, reduced_forms_count
 from .construction import (
     BOUND_VIOLATION,
     CASE_ONE,
@@ -417,7 +412,7 @@ def cmd_identity(args) -> int:
             )
         if args.l_check:
             terms = max(args.l_terms or 100 * p, p)
-            lrec = l_value_estimate(rec.prime, terms, h=rec.h_charsum, a_value=rec.identity_lhs)
+            lrec = rec.l_estimate(terms)
             if not lrec.within_tolerance:
                 failures += 1
                 print(

@@ -199,6 +199,12 @@ class TestLValue:
             assert rec.identity_residual < 1e-9
             assert rec.l_exact > 0
 
+    @pytest.mark.parametrize("p", [47, 1000003])
+    def test_two_squares_passes(self, squares_passes, p):
+        # One pass for the identity record's A(p) and residue sum, one for the series.
+        l_value_estimate(p, 100 * p)
+        assert squares_passes == [p, p]
+
     def test_convergence_trend(self):
         # Average error over several primes shrinks from p terms to 100p.
         primes = (7, 11, 19, 23, 31, 43, 47)

@@ -629,6 +629,25 @@ class TestIdentity:
         assert code == 0 and "failures: 0" in out
         assert Counter(is_prime_calls) == Counter(oracles.primes_trial(7, 2000, 3, 4))
 
+    def test_l_check_reports_a_failed_identity(self, capsys, monkeypatch):
+        # A wrong A(p) is the record's failure, counted once; the L estimate
+        # of that prime reports its residual and raises nothing.
+        real = cli._identity_records
+
+        def off_at_43(ps):
+            return [
+                dataclasses.replace(r, identity_lhs=r.identity_lhs + 2) if r.p == 43 else r
+                for r in real(ps)
+            ]
+
+        monkeypatch.setattr(cli, "_identity_records", off_at_43)
+        code, out, err = run(capsys, "identity", "--from", "5", "--to", "50", "--l-check")
+        assert code == 1 and out == (
+            "p=43: h_forms=1 h_charsum=1 A=5 rhs=3\n"
+            "identity checked for 7 primes in [5, 50]; failures: 1\n"
+        )
+        assert "Traceback" not in err
+
     def test_inverted_range(self, capsys):
         assert run(capsys, "identity", "--from", "10", "--to", "5")[0] == 2
 
