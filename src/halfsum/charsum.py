@@ -226,5 +226,5 @@ def l_series_partial(p: int | OddPrime, terms: int) -> float:
         r = np.trunc(np.multiply(w, pv, out=w), out=w)  # x^2 mod p, as _qr_marks reads it
         y = np.divide(r, pv, out=u)
         residues += float(np.sum(_digamma(y + (q + (r <= s))) - _digamma(y)))
-    h_n, h_q, psi_1 = _digamma(np.array([q * pv + s + 1.0, q + 1.0, 1.0]))
+    h_n, h_q, psi_1 = _digamma(np.array([q * pv + s + 1.0, q + 1.0, 1.0])).tolist()
     return 2 * residues / pv - (h_n - psi_1) + (h_q - psi_1) / pv

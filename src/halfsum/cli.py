@@ -77,13 +77,16 @@ class RangeRow(NamedTuple):
     verdict: str
 
 
-def _check_prime(p: int, fast_bound: Optional[int]):
+def _check_prime(p: int, fast_bound: Optional[int], excerpts: bool):
     """Verify one prime: the A(p) > 0 check plus the construction audit.
 
-    Returns (row, violations, anomaly) where anomaly is None or a
-    (p, ledger excerpt) pair. Above fast_bound the construction audit is
-    skipped, A(p) comes from the sieve and the row verdict is SieveOnly;
-    otherwise A(p) is the audit's, counted from the residue flags it reads.
+    Returns (row, violations, anomaly) where anomaly is None or, for a
+    prime with unexpected duplicates, a (p, ledger excerpt) pair whose
+    excerpt is built only if excerpts is set (text and JSON print it, CSV
+    does not) and is empty otherwise. Above fast_bound the construction
+    audit is skipped, A(p) comes from the sieve and the row verdict is
+    SieveOnly; otherwise A(p) is the audit's, counted from the residue
+    flags it reads.
     The prime is validated once here and passed on validated, and its
     residues are squared at most once either way.
     """
@@ -103,12 +106,12 @@ def _check_prime(p: int, fast_bound: Optional[int]):
 
     if report.verdict == BOUND_VIOLATION:
         violations.append((p, BOUND_VIOLATION, report.reason))
-    anomaly = None
-    unexpected = report.unexpected_duplicates
-    if unexpected:
-        parts = [f"{e.element} claimed by {', '.join(e.sites)}" for e in unexpected[:3]]
-        if len(unexpected) > 3:
-            parts.append(f"and {len(unexpected) - 3} more")
+    anomaly, count = None, report.unexpected_count
+    if count:
+        first = report.unexpected_duplicates[:3] if excerpts else []
+        parts = [f"{e.element} claimed by {', '.join(e.sites)}" for e in first]
+        if excerpts and count > 3:
+            parts.append(f"and {count - 3} more")
         anomaly = (p, "; ".join(parts))
     row = RangeRow(
         p,
@@ -121,9 +124,9 @@ def _check_prime(p: int, fast_bound: Optional[int]):
     return row, violations, anomaly
 
 
-def _check_primes(ps: list[int], fast_bound: Optional[int]) -> list:
+def _check_primes(ps: list[int], fast_bound: Optional[int], excerpts: bool) -> list:
     """_check_prime for each prime of ps, in order: verify's sweep work."""
-    return [_check_prime(p, fast_bound) for p in ps]
+    return [_check_prime(p, fast_bound, excerpts) for p in ps]
 
 
 def _identity_records(ps: list[int]) -> list:
@@ -361,7 +364,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = _sweep(args.lo, args.hi, args.jobs, partial(_check_primes, fast_bound=args.fast))
+    """Sweep [args.lo, args.hi] and report it in args.format; exit 1 on a violation.
+
+    A CSV sweep builds no ledger excerpt, which only text and JSON print.
+    """
+    check = partial(_check_primes, fast_bound=args.fast, excerpts=args.format != "csv")
+    results = _sweep(args.lo, args.hi, args.jobs, check)
     if args.fast is not None and args.fast < 0:
         raise DomainError(f"--fast must be >= 0, got {args.fast}")
     started = time.monotonic()

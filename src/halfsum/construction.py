@@ -209,6 +209,8 @@ class ConstructionReport:
     distinct_qr_total: Optional[int] = None
     verdict: str = field(init=False)
     reason: str = field(init=False)
+    # The ledger's entries other than the sanctioned overlap, counted once.
+    unexpected_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         rules = self.rules
@@ -226,6 +228,7 @@ class ConstructionReport:
         self._ledger = np.flatnonzero(claims[1:] > 1).astype(_INT) + 1
         owners = [bisect(self.starts, i) - 1 for i in np.flatnonzero(self.chosen == 4).tolist()]
         self._sanctioned = [rules[f].family_id for f in owners] == ["C1_F1", "C1_F3"]
+        self.unexpected_count = len(self._ledger) - self._sanctioned
         if self.distinct_qr_total is None:
             self.distinct_qr_total = int(np.count_nonzero(claims[1:]))
 
@@ -237,7 +240,7 @@ class ConstructionReport:
             pair = f"({self.candidates[i]}, {self.partners[i]})"
             self.reason = f"pair {pair} in {rules[bisect(self.starts, i) - 1].family_id}: "
             self.reason += f"no residue lands in [1, {(self.p - 1) // 2}]"
-        elif len(self._ledger) > self._sanctioned:
+        elif self.unexpected_count:
             self.verdict = DEDUP_ANOMALY
         elif distinct < threshold:
             self.reason = f"distinct {distinct} < threshold {threshold}"

@@ -167,7 +167,9 @@ class TestQrHelpers:
         for p in (7, 11, 23, 101):
             terms = 7 * p + 3
             brute = math.fsum(oracles.symbol_brute(n, p) / n for n in range(1, terms + 1))
-            assert l_series_partial(p, terms) == pytest.approx(brute, abs=1e-12)
+            value = l_series_partial(p, terms)
+            assert type(value) is float  # as annotated, not a numpy scalar
+            assert value == pytest.approx(brute, abs=1e-12)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23, 101, 1019], ids="p={}".format)
     @pytest.mark.parametrize("length", _L_LENGTHS)

@@ -296,6 +296,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--from", "33", "--to", "50", "--strict")
         assert code == 1
 
+    def test_csv_counts_anomalies_it_does_not_print(self, capsys):
+        # 20023 is a Case 2 prime whose only finding is a dedup anomaly, so
+        # only --strict fails it, in CSV too, which prints no excerpt of it.
+        shown = {"csv": ",DedupAnomaly\n", "text": "dedup anomalies: 1\n", "json": '"DedupAnomaly"'}
+        for fmt, anomaly in shown.items():
+            argv = ("verify", "--from", "20023", "--to", "20023", "--format", fmt)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and anomaly in out
+            assert run(capsys, *argv, "--strict")[0] == 1
+        argv = ("verify", "--from", "3", "--to", "3000", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--strict")[:2] == (1, out)
+
     def test_fast_skips_construction(self, capsys):
         code, out, _ = run(
             capsys,
@@ -420,11 +433,22 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
-    def test_sweep_reads_only_what_it_prints(self, capsys, monkeypatch):
-        # A sweep prints counts, one reason and at most three ledger entries
-        # per prime, so it builds no witness and no other ledger entry.
-        # Rows are built by construction._build, which counts them here; a
-        # row type called directly would raise.
+    @pytest.mark.parametrize(
+        "flags, entries",
+        [
+            ((), 3 * 23),
+            (("--format", "json"), 3 * 23),
+            (("--format", "csv"), 0),
+            (("--format", "csv", "--strict"), 0),
+        ],
+        ids=["text", "json", "csv", "csv-strict"],
+    )
+    def test_sweep_reads_only_what_it_prints(self, capsys, monkeypatch, flags, entries):
+        # A sweep prints counts, one reason and, in text and JSON, at most
+        # three ledger entries per prime, so it builds no witness and no
+        # other ledger entry; CSV prints no entry and builds none. Rows are
+        # built by construction._build, which counts them here; a row type
+        # called directly would raise.
         built = {"PairWitness": 0, "DedupEntry": 0}
         build = construction._build
 
@@ -453,9 +477,9 @@ class TestVerify:
         reports = []
         audit = cli.build_report
         monkeypatch.setattr(cli, "build_report", lambda p: reports.append(audit(p)) or reports[-1])
-        code, out, _ = run(capsys, "verify", "--from", "21000", "--to", "21400")
-        assert code == 1 and "23 primes" in out
-        assert built == {"PairWitness": 0, "DedupEntry": 3 * 23}
+        code, _, _ = run(capsys, "verify", "--from", "21000", "--to", "21400", *flags)
+        assert code == 1
+        assert built == {"PairWitness": 0, "DedupEntry": entries}
         assert families == [] and len(reports) == 23
         assert not [r.p for r in reports if {"families", "dedup_ledger"} & set(vars(r))]
 

@@ -559,14 +559,18 @@ class TestRowViews:
 
         monkeypatch.setattr(ConstructionReport, "_entries", refuse)
         monkeypatch.setattr(FamilyReport, "_witnesses", refuse)
-        for p, unexpected in ((7, 0), (20011, 1095), (20023, 1222)):
+        # 20011 is Case 1: its ledger holds the sanctioned overlap at 4 too.
+        for p, unexpected, sanctioned in ((7, 0, 0), (20011, 1095, 1), (20023, 1222, 0)):
             report = build_report(p)
-            assert len(report.unexpected_duplicates) == unexpected
+            assert report.unexpected_count == len(report.unexpected_duplicates) == unexpected
             assert bool(report.unexpected_duplicates) == bool(unexpected)
-            assert len(report.dedup_ledger) >= unexpected
+            assert len(report.dedup_ledger) == unexpected + sanctioned
             for f in report.families:
                 assert len(f.witnesses) == len(f.candidates)
                 assert bool(f.witnesses) == (len(f.candidates) > 0)
                 assert len(f.failed_pairs) == np.count_nonzero(f.chosen == 0)
+        for p in filter(is_prime, range(3, 3001, 4)):
+            report = build_report(p)
+            assert report.unexpected_count == len(report.unexpected_duplicates), p
         with pytest.raises(AssertionError, match="a row was built"):
             build_report(20011).unexpected_duplicates[:1]
